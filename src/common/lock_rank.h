@@ -40,9 +40,10 @@ namespace metacomm {
 /// (values are spaced for exactly that).
 enum class LockRank : int {
   // --- 1xx: wire layer. Leaf locks in practice (handlers run with no
-  //     net lock held), ranked outermost so a handler that ever did
-  //     call back into the loop under a lock would be caught.
-  kNetEventLoop = 100,    // net::EventLoop pending-task/callback map.
+  //     net lock held), ranked outermost so a handler that calls back
+  //     into the loop under a lock is caught: a ScopedBlockingWait on
+  //     a loop thread takes kNetEventLoop to hand the loop off.
+  kNetEventLoop = 100,    // net::EventLoop callbacks, tasks, stand-ins.
   kNetServerConns = 110,  // net::TcpServer connection table.
 
   // --- 15x: test/bench harness locks held across entire client

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <set>
 
+#include "common/blocking_wait.h"
 #include "common/clock.h"
 #include "common/logging.h"
 #include "core/coalescer.h"
@@ -324,6 +325,7 @@ Status UpdateManager::OnUpdate(
   if (!Enqueue(std::move(item))) {
     return Status::Unavailable("update manager is shut down");
   }
+  ScopedBlockingWait wait;
   return done.get();
 }
 

@@ -4,6 +4,7 @@
 #include <deque>
 #include <utility>
 
+#include "common/blocking_wait.h"
 #include "common/clock.h"
 #include "common/strings.h"
 #include "ldap/query_planner.h"
@@ -209,6 +210,7 @@ Backend::JournalTicket Backend::TakeJournalTicket() const {
 
 Status Backend::AwaitJournal(const JournalTicket& ticket) {
   if (ticket.journal == nullptr) return Status::Ok();
+  ScopedBlockingWait wait;  // Group commit: another writer may flush.
   return ticket.journal->sync(ticket.lsn);
 }
 

@@ -46,6 +46,8 @@ class LockTable {
   /// True when `session` may take (or re-enter) the lock on `key`.
   bool CanTake(const std::string& key, uint64_t session) const
       REQUIRES(mutex_);
+  /// Takes (or re-enters) the lock on `key` for `session`.
+  void Take(const std::string& key, uint64_t session) REQUIRES(mutex_);
 
   mutable Mutex mutex_{LockRank::kLtapLockTable, "ltap.lock_table"};
   CondVar cv_;

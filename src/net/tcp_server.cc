@@ -11,8 +11,10 @@
 namespace metacomm::net {
 
 /// Per-connection state. Owned by the server's connection map but only
-/// ever touched on the connection's pinned loop thread (plus Stop(),
-/// which runs after every loop has joined).
+/// ever touched by one thread at a time: the thread leading the
+/// connection's loop, or the thread the loop handed off while this
+/// connection's handler waited (net/event_loop.h) — plus Stop(), which
+/// runs after every loop has joined.
 struct TcpServer::Connection {
   ScopedFd fd;
   EventLoop* loop = nullptr;
@@ -20,7 +22,7 @@ struct TcpServer::Connection {
   Handler handler;
   std::string outbuf;      // Framed replies not yet written.
   size_t out_pos = 0;      // Prefix of outbuf already written.
-  bool want_write = false; // EPOLLOUT currently armed.
+  bool want_write = false; // Backlog: EPOLLOUT armed instead of EPOLLIN.
   bool closing = false;    // Close once outbuf drains.
 
   Connection(ScopedFd fd_in, EventLoop* loop_in, size_t max_frame,
@@ -30,6 +32,14 @@ struct TcpServer::Connection {
         decoder(max_frame),
         handler(std::move(handler_in)) {}
 };
+
+namespace {
+
+/// Unwritten reply bytes past which a connection flushes before
+/// answering its next pipelined request.
+constexpr size_t kFlushBytes = 64 * 1024;
+
+}  // namespace
 
 TcpServer::TcpServer(TcpServerConfig config, HandlerFactory factory)
     : config_(std::move(config)), factory_(std::move(factory)) {}
@@ -135,62 +145,65 @@ void TcpServer::OnConnectionEvent(Connection* conn, uint32_t events) {
     CloseConnection(conn);
     return;
   }
-  const int fd = conn->fd.get();
   if ((events & EPOLLOUT) != 0) {
-    FlushWrites(conn);  // May destroy conn (drained a closing stream).
-    MutexLock lock(&conn_mutex_);
-    if (connections_.find(fd) == connections_.end()) return;
+    // The backlog drains: answer the requests it held back. EPOLLIN is
+    // re-armed once every reply is written.
+    if (FlushWrites(conn)) Serve(conn);
+    return;
   }
-  if ((events & EPOLLIN) == 0) return;
   char buf[64 * 1024];
-  while (true) {
+  while (!conn->want_write &&
+         conn->decoder.state() == FrameDecoder::State::kOk) {
     ssize_t n = ::read(conn->fd.get(), buf, sizeof(buf));
     if (n > 0) {
       bytes_in_.fetch_add(static_cast<uint64_t>(n),
                           std::memory_order_relaxed);
       if (!conn->decoder.Feed(std::string_view(buf,
                                                static_cast<size_t>(n)))) {
-        // Framing violation: answer once, then close after flushing.
         framing_errors_.fetch_add(1, std::memory_order_relaxed);
-        HandleFrames(conn);  // Serve frames decoded before the break.
-        if (!config_.error_reply.empty()) {
-          conn->outbuf += EncodeFrame(config_.error_reply);
-        }
-        conn->closing = true;
-        FlushWrites(conn);
-        return;
       }
-      HandleFrames(conn);
+      if (!Serve(conn)) return;
       continue;
     }
     if (n == 0) {  // Peer closed.
       CloseConnection(conn);
       return;
     }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return;
     if (errno == EINTR) continue;
     CloseConnection(conn);
     return;
   }
-  FlushWrites(conn);
 }
 
-void TcpServer::HandleFrames(Connection* conn) {
+bool TcpServer::Serve(Connection* conn) {
   std::string request;
-  while (conn->decoder.Pop(&request)) {
+  while (!conn->want_write && conn->decoder.Pop(&request)) {
     requests_.fetch_add(1, std::memory_order_relaxed);
-    std::string response;
     if (config_.admit != nullptr && !config_.admit()) {
       shed_busy_.fetch_add(1, std::memory_order_relaxed);
-      response = config_.busy_reply;
+      conn->outbuf += EncodeFrame(config_.busy_reply);
     } else {
-      response = conn->handler(request);
+      conn->outbuf += EncodeFrame(conn->handler(request));
     }
-    conn->outbuf += EncodeFrame(response);
+    if (conn->outbuf.size() - conn->out_pos >= kFlushBytes &&
+        !FlushWrites(conn)) {
+      return false;
+    }
   }
+  if (!conn->want_write && !conn->closing &&
+      conn->decoder.state() != FrameDecoder::State::kOk) {
+    // Every frame decoded before the framing violation is answered:
+    // answer the violation once, then close after flushing.
+    if (!config_.error_reply.empty()) {
+      conn->outbuf += EncodeFrame(config_.error_reply);
+    }
+    conn->closing = true;
+  }
+  return FlushWrites(conn);
 }
 
-void TcpServer::FlushWrites(Connection* conn) {
+bool TcpServer::FlushWrites(Connection* conn) {
   while (conn->out_pos < conn->outbuf.size()) {
     ssize_t n = ::write(conn->fd.get(), conn->outbuf.data() + conn->out_pos,
                         conn->outbuf.size() - conn->out_pos);
@@ -203,28 +216,30 @@ void TcpServer::FlushWrites(Connection* conn) {
     if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
       // Kernel buffer full (a slow or non-reading client): keep the
-      // rest and let EPOLLOUT drive the remainder — per-connection
-      // backpressure without blocking the loop.
+      // rest, stop reading requests and let EPOLLOUT drive the
+      // remainder — per-connection backpressure without blocking the
+      // loop.
       if (!conn->want_write) {
         conn->want_write = true;
-        (void)conn->loop->Modify(conn->fd.get(), EPOLLIN | EPOLLOUT);
+        (void)conn->loop->Modify(conn->fd.get(), EPOLLOUT);
       }
-      return;
+      return true;
     }
     CloseConnection(conn);
-    return;
+    return false;
   }
   // Fully drained.
   conn->outbuf.clear();
   conn->out_pos = 0;
   if (conn->closing) {
     CloseConnection(conn);
-    return;
+    return false;
   }
   if (conn->want_write) {
     conn->want_write = false;
     (void)conn->loop->Modify(conn->fd.get(), EPOLLIN);
   }
+  return true;
 }
 
 void TcpServer::CloseConnection(Connection* conn) {

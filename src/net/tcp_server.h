@@ -24,10 +24,13 @@ struct TcpServerConfig {
   /// benches) — read the actual one back with port().
   uint16_t listen_port = 0;
   int listen_backlog = 511;
-  /// Event-loop threads. Loop 0 accepts; connections are pinned
-  /// round-robin across all loops, and a connection's requests are
-  /// handled inline on its loop thread — io_threads bounds how many
-  /// requests are in the service at once.
+  /// Event loops. Loop 0 accepts; connections are pinned round-robin
+  /// across all loops, and a connection's requests are handled in order
+  /// by the thread leading its loop. A handler about to wait on another
+  /// thread (a ScopedBlockingWait: UM completion, contended entry lock,
+  /// WAL flush) first hands its loop to a stand-in thread, so io_threads
+  /// sets how many loops poll, not how many requests may wait at once
+  /// (one per connection, so max_connections bounds that).
   int io_threads = 1;
   /// Concurrent-connection budget. An accept beyond it is answered
   /// with one framed busy_reply and closed (load shedding, not
@@ -96,8 +99,14 @@ class TcpServer {
 
   void OnAcceptable();
   void OnConnectionEvent(Connection* conn, uint32_t events);
-  void HandleFrames(Connection* conn);
-  void FlushWrites(Connection* conn);
+  /// Answers the decoded requests in order and writes the replies. A
+  /// backlog the kernel will not take stops it (flow control) until
+  /// EPOLLOUT drains the backlog. False once the connection is closed.
+  bool Serve(Connection* conn);
+  /// Writes what the kernel takes; on a short write arms EPOLLOUT in
+  /// place of EPOLLIN. False once the connection is closed.
+  bool FlushWrites(Connection* conn);
+  /// Unregisters and destroys `conn`; the pointer dangles afterwards.
   void CloseConnection(Connection* conn);
 
   TcpServerConfig config_;

@@ -46,6 +46,12 @@
 #   6d. Durability bench smoke: bench_durability's WAL-off vs
 #       batch-fsync single-writer points with --json, parsing
 #       BENCH_durability.json.
+#   6e. Served-system benchmark self-test: servebench/selftest.py
+#       builds the benchmark against the current tree (a Release tree
+#       of its own in .bench_build/servebench, so not part of ctest)
+#       and smoke-runs every workload, traced and untraced, with its
+#       reply checks and end-state audit. A net or ldap change that
+#       breaks the benchmark fails here.
 #   7. Bench regression compare: quick reruns diffed against the
 #      committed BENCH_*.json baselines (>20% slowdowns flagged).
 #      Non-fatal — smoke-length runs are too noisy to gate on.
@@ -267,6 +273,10 @@ if [ -x build/bench/bench_durability ]; then
 else
   fail "bench_durability not built"
 fi
+
+# -- 6e. servebench self-test -----------------------------------------
+note "servebench selftest (every workload, traced and untraced)"
+python3 servebench/selftest.py || fail "servebench selftest"
 
 # -- 7. Bench regression compare (non-fatal) -------------------------
 note "bench compare vs committed baselines (non-fatal)"

@@ -62,7 +62,10 @@ int main(int argc, char** argv) {
   metacomm::tools::FlagSet flags(
       "MetaComm LDAP/LTAP deployment on a TCP wire");
   flags.Numeric("port", &opt.port, "listen port (0 picks a free one)");
-  flags.Numeric("io-threads", &opt.io_threads, "epoll I/O threads");
+  flags.Numeric("io-threads", &opt.io_threads,
+                "epoll event loops (a write waiting on the UM hands its "
+                "loop to a stand-in thread, so this is no cap on writes "
+                "in flight)");
   flags.Numeric("um-workers", &opt.um_workers, "Update Manager workers");
   flags.Numeric("batch", &opt.batch, "UM max batch size");
   flags.Numeric("max-connections", &opt.max_connections,
