@@ -1,22 +1,22 @@
 // Batched, coalescing propagation — throughput vs max_batch_size.
 //
-// The sequential Update Manager pays every per-conversation cost once
-// PER UPDATE: the emulated processing delay of the update sequence
-// (UpdateManagerConfig::artificial_processing_delay_micros, the same
-// 200µs axis bench_parallel_um uses) and one device-session RTT per
-// converter command (devices::LatencyEmulator). The batched pipeline
-// (max_batch_size > 1) drains a whole run of the queue per wakeup,
-// coalesces redundant same-entity work, partitions the rest into
-// entity-disjoint waves, and pays the delay once per WAVE and the
-// device RTT once per repository per wave (DESIGN.md "Batching &
-// coalescing").
+// Every drain pays the emulated processing delay of the update
+// sequence (UpdateManagerConfig::artificial_processing_delay_micros,
+// the same 200µs axis bench_parallel_um uses) once per WAVE, and each
+// device's RTT (devices::LatencyEmulator) once per repository per wave
+// (DESIGN.md "Batching & coalescing"). max_batch_size=1 is the paper
+// shape: every update is a one-unit wave and pays both costs itself.
+// Larger batches drain a whole run of the queue per wakeup, coalesce
+// redundant same-entity work, and share both costs across the
+// entity-disjoint units of each wave.
 //
 // The workload is a two-device administrator storm: a PBX admin
 // changing rooms on one half of the population while an MP admin
 // changes pins on the other half. Submissions return at enqueue, so
 // the queue stays deep and PopBatch returns real multi-item batches.
-// max_batch_size=1 is the exact paper shape and the baseline; the
-// acceptance bar is >= 3x items/sec at max_batch_size=16.
+// max_batch_size=1 is the baseline; the items/sec ratio at 16 vs 1
+// measures what sharing the per-wave costs buys over one conversation
+// per update per device.
 
 #include <benchmark/benchmark.h>
 

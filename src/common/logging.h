@@ -54,7 +54,8 @@ class Logger {
 namespace internal_logging {
 
 /// Stream-style message builder used by the METACOMM_LOG macro; emits on
-/// destruction.
+/// destruction. The macro only builds one when the level passes the
+/// logger's threshold.
 class LogMessage {
  public:
   explicit LogMessage(LogLevel level) : level_(level) {}
@@ -74,12 +75,26 @@ class LogMessage {
   std::ostringstream stream_;
 };
 
+/// Turns the streamed LogMessage into void so both arms of the
+/// METACOMM_LOG conditional have one type. `&` binds looser than `<<`,
+/// so it applies after the whole message is streamed.
+struct Voidify {
+  void operator&(const LogMessage&) const {}
+};
+
 }  // namespace internal_logging
 }  // namespace metacomm
 
 /// Usage: METACOMM_LOG(kInfo) << "applied " << n << " updates";
-#define METACOMM_LOG(level)                  \
-  ::metacomm::internal_logging::LogMessage(  \
-      ::metacomm::LogLevel::level)
+/// A message below the threshold costs one relaxed load: its operands
+/// are never evaluated or formatted. The macro is one expression, so
+/// it is safe as the body of an unbraced if/else.
+#define METACOMM_LOG(level)                                         \
+  (::metacomm::LogLevel::level <                                    \
+   ::metacomm::Logger::Get().min_level())                           \
+      ? (void)0                                                     \
+      : ::metacomm::internal_logging::Voidify() &                   \
+            ::metacomm::internal_logging::LogMessage(               \
+                ::metacomm::LogLevel::level)
 
 #endif  // METACOMM_COMMON_LOGGING_H_

@@ -79,9 +79,8 @@ bool TryMerge(CoalescedUnit& unit, const UpdateDescriptor& next) {
 
 }  // namespace
 
-CoalesceResult CoalesceBatch(
-    const std::vector<UpdateDescriptor>& batch,
-    const std::string& key_attr) {
+CoalesceResult CoalesceBatch(std::vector<UpdateDescriptor> batch,
+                             const std::string& key_attr) {
   CoalesceResult out;
   // Latest open unit per entity, addressed by the entity's CURRENT key
   // in its rename chain. A barrier replaces the map entry, so later
@@ -89,7 +88,7 @@ CoalesceResult CoalesceBatch(
   std::map<std::string, size_t, CaseInsensitiveLess> open;
 
   for (size_t i = 0; i < batch.size(); ++i) {
-    const UpdateDescriptor& d = batch[i];
+    UpdateDescriptor& d = batch[i];
     const std::string in_key = IncomingKey(d, key_attr);
 
     if (!in_key.empty()) {
@@ -116,14 +115,14 @@ CoalesceResult CoalesceBatch(
       }
     }
 
-    CoalescedUnit unit;
-    unit.update = d;
-    unit.constituents.push_back(i);
-    out.units.push_back(std::move(unit));
     if (!in_key.empty()) {
       std::string out_key = OutgoingKey(d, key_attr);
-      open[out_key.empty() ? in_key : out_key] = out.units.size() - 1;
+      open[out_key.empty() ? in_key : out_key] = out.units.size();
     }
+    CoalescedUnit unit;
+    unit.update = std::move(d);
+    unit.constituents.push_back(i);
+    out.units.push_back(std::move(unit));
   }
   return out;
 }

@@ -43,10 +43,10 @@ struct CoalesceResult {
 /// Two descriptors only ever merge when they share source, schema and
 /// conditional flag — conditional (Originator/LastUpdater, §5.4)
 /// updates are never merged across originators, so reapplication
-/// semantics are untouched.
-CoalesceResult CoalesceBatch(
-    const std::vector<lexpress::UpdateDescriptor>& batch,
-    const std::string& key_attr);
+/// semantics are untouched. The batch's descriptors move into the
+/// units.
+CoalesceResult CoalesceBatch(std::vector<lexpress::UpdateDescriptor> batch,
+                             const std::string& key_attr);
 
 }  // namespace metacomm::core
 

@@ -79,9 +79,11 @@ Status UpdateManager::InstallTrigger(const std::string& base_dn) {
 void UpdateManager::Start() {
   if (!config_.threaded) return;
   if (running_.exchange(true)) return;
+  uint64_t epoch;
   {
     MutexLock lock(&shutdown_mutex_);
     stopping_ = false;  // A restarted UM sleeps and repairs again.
+    epoch = stop_epoch_;
   }
   queue_.Reopen();  // Stop() closed it; restarts take updates again.
   // "The main thread of the UM, the coordinator, iterates through the
@@ -91,7 +93,7 @@ void UpdateManager::Start() {
   // about the order of updates to one entry, never across entries.
   workers_.reserve(queue_.shard_count());
   for (size_t shard = 0; shard < queue_.shard_count(); ++shard) {
-    workers_.emplace_back([this, shard] { WorkerLoop(shard); });
+    workers_.emplace_back([this, shard, epoch] { WorkerLoop(shard, epoch); });
   }
   if (config_.repair_enabled) {
     repair_thread_ = std::thread([this] { RepairLoop(); });
@@ -134,7 +136,7 @@ void UpdateManager::Stop() {
   }
 }
 
-void UpdateManager::WorkerLoop(size_t shard) {
+void UpdateManager::WorkerLoop(size_t shard, uint64_t epoch) {
   const size_t max_batch =
       static_cast<size_t>(std::max(1, config_.max_batch_size));
   // The worker's lexpress interpreter: its stack, value pool and record
@@ -144,30 +146,28 @@ void UpdateManager::WorkerLoop(size_t shard) {
   while (true) {
     std::vector<WorkItem> batch = queue_.PopBatch(shard, max_batch);
     if (batch.empty()) return;  // Closed; Stop() reclaims the rest.
-    for (WorkItem& item : batch) RecordDequeue(item);
-    RecordBatch(batch.size());
-    if (batch.size() == 1) {
-      // The paper shape — and the max_batch_size=1 default — bypasses
-      // the coalescer entirely.
-      WorkItem& item = batch.front();
-      Status status = ProcessItem(item, &vm);
-      if (item.done) item.done->set_value(status);
-      SettleIntent(item.intent_id);
-      continue;
-    }
-    ProcessBatch(std::move(batch), &vm);
+    RecordDrain(batch);
+    ProcessBatch(batch, epoch, &vm);
   }
 }
 
-void UpdateManager::RecordBatch(size_t batch_size) {
-  size_t bucket = batch_size <= 2    ? batch_size - 1
-                  : batch_size <= 4  ? 2
-                  : batch_size <= 8  ? 3
-                  : batch_size <= 16 ? 4
+void UpdateManager::RecordDrain(const std::vector<WorkItem>& batch) {
+  const size_t size = batch.size();
+  const size_t bucket = size <= 2    ? size - 1
+                        : size <= 4  ? 2
+                        : size <= 8  ? 3
+                        : size <= 16 ? 4
                                      : 5;
+  const int64_t now = RealClock::Get()->NowMicros();
   MutexLock lock(&stats_mutex_);
   ++stats_.batches;
   ++stats_.batch_size_buckets[bucket];
+  for (const WorkItem& item : batch) {
+    ShardStats& stats = stats_.shards[item.shard];
+    ++stats.dequeued;
+    int64_t waited = now - item.enqueue_micros;
+    if (waited > 0) stats.queue_wait_micros += static_cast<uint64_t>(waited);
+  }
 }
 
 bool UpdateManager::Enqueue(WorkItem item) {
@@ -182,31 +182,35 @@ bool UpdateManager::Enqueue(WorkItem item) {
   return true;
 }
 
-void UpdateManager::RecordDequeue(const WorkItem& item) {
-  int64_t waited = RealClock::Get()->NowMicros() - item.enqueue_micros;
-  MutexLock lock(&stats_mutex_);
-  ShardStats& stats = stats_.shards[item.shard];
-  ++stats.dequeued;
-  if (waited > 0) {
-    stats.queue_wait_micros += static_cast<uint64_t>(waited);
-  }
-}
-
 size_t UpdateManager::Pump() {
   // Synchronous assemblies drain on whatever thread calls Pump; a
   // per-thread interpreter keeps its scratch warm across calls.
   thread_local lexpress::Vm vm;
+  const size_t max_batch =
+      static_cast<size_t>(std::max(1, config_.max_batch_size));
+  const uint64_t epoch = stop_epoch();
   size_t processed = 0;
   while (true) {
-    std::optional<WorkItem> item = queue_.TryPopAny();
-    if (!item.has_value()) break;
-    RecordDequeue(*item);
-    Status status = ProcessItem(*item, &vm);
-    if (item->done) item->done->set_value(status);
-    SettleIntent(item->intent_id);
-    ++processed;
+    // Up to max_batch items per drain, like a worker's. TryPopAny
+    // empties the shards in turn, so each shard's FIFO order holds.
+    std::vector<WorkItem> batch;
+    std::optional<WorkItem> item;
+    while (batch.size() < max_batch &&
+           (item = queue_.TryPopAny()).has_value()) {
+      batch.push_back(std::move(*item));
+    }
+    if (batch.empty()) return processed;
+    processed += batch.size();
+    RecordDrain(batch);
+    ProcessBatch(batch, epoch, &vm);
   }
-  return processed;
+}
+
+Status UpdateManager::ProcessOne(WorkItem item, uint64_t epoch) {
+  std::vector<WorkItem> batch;
+  batch.push_back(std::move(item));
+  ProcessBatch(batch, epoch, /*vm=*/nullptr);
+  return batch.front().status;
 }
 
 void UpdateManager::SubmitDeviceUpdate(lexpress::UpdateDescriptor update) {
@@ -215,63 +219,58 @@ void UpdateManager::SubmitDeviceUpdate(lexpress::UpdateDescriptor update) {
 
 void UpdateManager::SubmitDeviceUpdateInternal(
     lexpress::UpdateDescriptor update, uint64_t intent_id) {
-  if (config_.threaded) {
-    // Translate and lock on THIS thread (the device's notification
-    // thread) so the coordinator never blocks on entry locks; the
-    // device administrator's command stalls instead, exactly as a DDU
-    // stalls at LTAP in the paper's design (§4.4).
-    StatusOr<std::optional<WorkItem>> prepared =
-        PrepareDeviceUpdate(update);
-    if (!prepared.ok()) {
-      // The failure is error-logged (the repair path owns it now), so
-      // a recovered intent must not replay it a second way.
-      HandleError(prepared.status(), update);
-      SettleIntent(intent_id);
-      return;
-    }
-    if (!prepared->has_value()) {
-      SettleIntent(intent_id);
-      return;  // Routed nowhere.
-    }
-    WorkItem item = std::move(**prepared);
-    if (intent_id == 0 && durability_ != nullptr) {
-      // Log-before-ack, in the SOURCE schema: once this returns the
-      // queue is no longer the only copy of the update — a crash
-      // before the item settles replays it through this very path.
-      StatusOr<uint64_t> logged = durability_->LogIntent(update);
-      if (!logged.ok()) {
-        ReleaseLocks(item.locked, item.lock_session);
-        HandleError(logged.status(), update);
-        return;
-      }
-      intent_id = *logged;
-    }
-    item.intent_id = intent_id;
-    // Same-entry FIFO: the shard is chosen from the first (normalized,
-    // sorted) locked DN, so every update touching that entry lands on
-    // the same worker. DN-less items carry no ordering constraint.
-    item.shard = item.locked.empty()
-                     ? queue_.NextShard()
-                     : queue_.ShardFor(item.locked.front().Normalized());
-    std::vector<ldap::Dn> locked = item.locked;
-    uint64_t lock_session = item.lock_session;
-    if (!Enqueue(std::move(item))) {
-      // Workers already stopped (UM shutdown/crash): the update is
-      // lost until resynchronization — the §4.4 recovery story. Its
-      // intent (if any) stays pending and replays on the next start.
-      ReleaseLocks(locked, lock_session);
-    }
+  // Translate and lock on THIS thread (the device's notification
+  // thread) so the coordinator never blocks on entry locks; the device
+  // administrator's command stalls instead, exactly as a DDU stalls at
+  // LTAP in the paper's design (§4.4).
+  StatusOr<std::optional<WorkItem>> prepared = PrepareDeviceUpdate(update);
+  if (!prepared.ok()) {
+    // The failure is error-logged (the repair path owns it now), so a
+    // recovered intent must not replay it a second way.
+    HandleError(prepared.status(), update);
+    SettleIntent(intent_id);
     return;
   }
-  // Synchronous mode: the device notification thread carries the
-  // propagation to completion before the administrator's command
-  // returns.
-  WorkItem item;
-  item.descriptor = std::move(update);
+  if (!prepared->has_value()) {
+    SettleIntent(intent_id);
+    return;  // Routed nowhere.
+  }
+  WorkItem item = std::move(**prepared);
+  if (!config_.threaded) {
+    // Synchronous mode: the device notification thread carries the
+    // propagation to completion before the administrator's command
+    // returns. Failures were logged and notified by the pipeline.
+    item.intent_id = intent_id;
+    (void)ProcessOne(std::move(item), stop_epoch());
+    return;
+  }
+  if (intent_id == 0 && durability_ != nullptr) {
+    // Log-before-ack, in the SOURCE schema: once this returns the queue
+    // is no longer the only copy of the update — a crash before the
+    // item settles replays it through this very path.
+    StatusOr<uint64_t> logged = durability_->LogIntent(update);
+    if (!logged.ok()) {
+      ReleaseLocks(item.locked, item.lock_session);
+      HandleError(logged.status(), update);
+      return;
+    }
+    intent_id = *logged;
+  }
   item.intent_id = intent_id;
-  Status status = ProcessItem(item, /*vm=*/nullptr);
-  (void)status;  // Failures were logged/notified by ProcessItem.
-  SettleIntent(item.intent_id);
+  // Same-entry FIFO: the shard is chosen from the first (normalized,
+  // sorted) locked DN, so every update touching that entry lands on the
+  // same worker. DN-less items carry no ordering constraint.
+  item.shard = item.locked.empty()
+                   ? queue_.NextShard()
+                   : queue_.ShardFor(item.locked.front().Normalized());
+  std::vector<ldap::Dn> locked = item.locked;
+  uint64_t lock_session = item.lock_session;
+  if (!Enqueue(std::move(item))) {
+    // Workers already stopped (UM shutdown/crash): the update is lost
+    // until resynchronization — the §4.4 recovery story. Its intent (if
+    // any) stays pending and replays on the next start.
+    ReleaseLocks(locked, lock_session);
+  }
 }
 
 void UpdateManager::SettleIntent(uint64_t intent_id) {
@@ -307,18 +306,17 @@ Status UpdateManager::OnUpdate(
       DescriptorFromNotification(notification);
   if (!descriptor.ok()) return descriptor.status();
 
-  if (!config_.threaded) {
-    WorkItem item;
-    item.descriptor = std::move(descriptor).value();
-    return ProcessItem(item, /*vm=*/nullptr);
-  }
+  // LTAP already applied the client's operation and holds the entry
+  // lock until we return.
+  WorkItem item;
+  item.descriptor = std::move(descriptor).value();
+  item.ldap_current = true;
+  if (!config_.threaded) return ProcessOne(std::move(item), stop_epoch());
   // Threaded: enqueue and wait — LTAP must not reply to the client
   // until the UM "completes the update sequence and notifies LTAP"
   // (§4.4). Routed by the updated entry's DN: a later update to the
   // same entry (the client holds its lock until we return, so it can
   // only be later) queues behind this one on the same shard.
-  WorkItem item;
-  item.descriptor = std::move(descriptor).value();
   item.shard = queue_.ShardFor(notification.dn.Normalized());
   item.done = std::make_shared<std::promise<Status>>();
   std::future<Status> done = item.done->get_future();
@@ -389,21 +387,6 @@ RepositoryFilter* UpdateManager::FindFilter(const std::string& name) const {
   return nullptr;
 }
 
-Status UpdateManager::ProcessItem(const WorkItem& item, lexpress::Vm* vm) {
-  if (item.prepared) return FinishDeviceUpdate(item, vm);
-  if (EqualsIgnoreCase(item.descriptor.schema, "ldap")) {
-    return ProcessLdapOriginated(item.descriptor, vm);
-  }
-  return ProcessDeviceOriginated(item.descriptor, vm);
-}
-
-Status UpdateManager::ProcessLdapOriginated(
-    const lexpress::UpdateDescriptor& update, lexpress::Vm* vm) {
-  // LTAP already applied the client's operation and holds the entry
-  // lock for the duration of this call.
-  return Propagate(update, /*ldap_current=*/true, vm);
-}
-
 StatusOr<std::optional<UpdateManager::WorkItem>>
 UpdateManager::PrepareDeviceUpdate(
     const lexpress::UpdateDescriptor& update) {
@@ -458,7 +441,7 @@ UpdateManager::PrepareDeviceUpdate(
             });
 
   WorkItem item;
-  item.prepared = true;
+  item.hydrate = true;  // The device reported only what it holds.
   // One fresh LTAP session per work item. Locking under a session
   // shared by every DDU (the old um_session_) made LockTable::Acquire
   // treat two concurrent DDUs on the same entry as one re-entrant
@@ -563,25 +546,6 @@ void UpdateManager::ReleaseLocks(const std::vector<ldap::Dn>& locked,
   }
 }
 
-Status UpdateManager::FinishDeviceUpdate(const WorkItem& item,
-                                         lexpress::Vm* vm) {
-  Status status = Propagate(HydrateDeviceUpdate(item.descriptor),
-                            /*ldap_current=*/false, vm);
-  ReleaseLocks(item.locked, item.lock_session);
-  return status;
-}
-
-Status UpdateManager::ProcessDeviceOriginated(
-    const lexpress::UpdateDescriptor& update, lexpress::Vm* vm) {
-  StatusOr<std::optional<WorkItem>> prepared = PrepareDeviceUpdate(update);
-  if (!prepared.ok()) {
-    HandleError(prepared.status(), update);
-    return prepared.status();
-  }
-  if (!prepared->has_value()) return Status::Ok();
-  return FinishDeviceUpdate(**prepared, vm);
-}
-
 std::string UpdatePlan::ToString() const {
   std::string out;
   for (const PlannedOp& op : ops) {
@@ -673,137 +637,6 @@ StatusOr<UpdatePlan> UpdateManager::PlanUpdate(
   return plan;
 }
 
-Status UpdateManager::Propagate(
-    const lexpress::UpdateDescriptor& ldap_update, bool ldap_current,
-    lexpress::Vm* vm) {
-  StatusOr<UpdatePlan> plan = PlanUpdate(ldap_update, ldap_current, vm);
-  if (!plan.ok()) {
-    // Closure fixpoint failure (runtime cycle detection, §4.2) or a
-    // mapping evaluation error.
-    HandleError(plan.status(), ldap_update);
-    return plan.status();
-  }
-  {
-    MutexLock lock(&stats_mutex_);
-    stats_.closure_iterations +=
-        static_cast<uint64_t>(plan->closure_iterations);
-  }
-
-  if (config_.artificial_processing_delay_micros > 0 &&
-      !SleepInterruptible(config_.artificial_processing_delay_micros)) {
-    return Status::Unavailable("update manager is shut down");
-  }
-
-  Status first_error = Status::Ok();
-  std::vector<std::pair<RepositoryFilter*, lexpress::UpdateDescriptor>>
-      applied_for_undo;
-  std::vector<DeviceResult> results;
-  bool aborted = false;
-
-  for (const PlannedOp& op : plan->ops) {
-    if (aborted) break;
-    if (EqualsIgnoreCase(op.repository, "ldap")) {
-      ApplyResult applied = ldap_filter_->Apply(op.update);
-      if (!applied.ok()) {
-        // The view write failed: abort the sequence (§4.4).
-        HandleError(applied.status(), op.update);
-        return applied.status();
-      }
-      continue;
-    }
-
-    RepositoryFilter* filter = FindFilter(op.repository);
-    if (filter == nullptr) {
-      Status error = Status::Internal("plan names unknown repository: " +
-                                      op.repository);
-      HandleError(error, op.update);
-      if (first_error.ok()) first_error = error;
-      continue;
-    }
-    if (op.update.conditional) {
-      // This is the reapplication to the originating device that
-      // enforces write-write convergence (§4.4, §5.4).
-      if (!config_.reapply_to_originator) continue;
-      MutexLock lock(&stats_mutex_);
-      ++stats_.reapplications;
-    }
-
-    // Remember the pre-update image for saga undo.
-    std::optional<lexpress::Record> prior;
-    if (config_.saga_undo) {
-      std::string prior_key =
-          op.update.old_record.GetFirst(filter->key_attr());
-      if (prior_key.empty()) {
-        prior_key = op.update.new_record.GetFirst(filter->key_attr());
-      }
-      StatusOr<std::optional<lexpress::Record>> fetched =
-          filter->Fetch(prior_key);
-      if (fetched.ok()) prior = *fetched;
-    }
-
-    ApplyResult applied = ApplyToRepository(filter, op.update);
-    if (!applied.ok()) {
-      HandleFailure(filter->name(), applied.outcome(), applied.status(),
-                    op.update);
-      if (first_error.ok()) first_error = applied.status();
-      if (config_.saga_undo) {
-        // Compensate the devices already updated in this sequence,
-        // then stop fanning out. The failure itself was logged and the
-        // administrator notified; the client's directory write stands
-        // (§4.4: errors are repaired out-of-band).
-        UndoApplied(applied_for_undo);
-        aborted = true;
-      }
-      continue;
-    }
-    {
-      MutexLock lock(&stats_mutex_);
-      ++stats_.device_applies;
-    }
-    if (op.update.op != lexpress::DescriptorOp::kDelete) {
-      results.push_back(DeviceResult{filter, op.update.new_record,
-                                     std::move(*applied)});
-    }
-
-    if (config_.saga_undo) {
-      lexpress::UpdateDescriptor inverse;
-      inverse.schema = op.update.schema;
-      inverse.source = "metacomm-undo";
-      inverse.conditional = true;
-      switch (op.update.op) {
-        case lexpress::DescriptorOp::kAdd:
-          inverse.op = lexpress::DescriptorOp::kDelete;
-          inverse.old_record = op.update.new_record;
-          break;
-        case lexpress::DescriptorOp::kModify:
-          if (prior.has_value()) {
-            inverse.op = lexpress::DescriptorOp::kModify;
-            inverse.old_record = op.update.new_record;
-            inverse.new_record = *prior;
-          } else {
-            inverse.op = lexpress::DescriptorOp::kDelete;
-            inverse.old_record = op.update.new_record;
-          }
-          break;
-        case lexpress::DescriptorOp::kDelete:
-          inverse.op = lexpress::DescriptorOp::kAdd;
-          if (prior.has_value()) inverse.new_record = *prior;
-          break;
-      }
-      applied_for_undo.emplace_back(filter, std::move(inverse));
-    }
-  }
-
-  if (ldap_update.op != lexpress::DescriptorOp::kDelete) {
-    // Deletes mint no device-generated information.
-    (void)BackfillGeneratedInfo(ldap_update, *plan, results);
-  }
-  // Device-side failures were logged and the administrator notified
-  // (§4.4); they do not fail the originating client operation.
-  (void)first_error;
-  return Status::Ok();
-}
-
 Status UpdateManager::BackfillGeneratedInfo(
     const lexpress::UpdateDescriptor& ldap_update, const UpdatePlan& plan,
     const std::vector<DeviceResult>& results) {
@@ -849,61 +682,38 @@ Status UpdateManager::BackfillGeneratedInfo(
   return Status::Ok();
 }
 
-void UpdateManager::SettleUnit(const UnitWork& unit,
+void UpdateManager::SettleUnit(const CoalescedUnit& unit,
                                std::vector<WorkItem>& items,
                                const Status& status, bool processed) {
   for (size_t index : unit.constituents) {
     WorkItem& item = items[index];
     ReleaseLocks(item.locked, item.lock_session);
+    item.status = status;
     if (item.done) item.done->set_value(status);
     if (processed) SettleIntent(item.intent_id);
   }
+  if (!processed) {
+    MutexLock lock(&stats_mutex_);
+    stats_.shutdown_drained += unit.constituents.size();
+  }
 }
 
-void UpdateManager::ProcessBatch(std::vector<WorkItem> items,
+void UpdateManager::ProcessBatch(std::vector<WorkItem>& items, uint64_t epoch,
                                  lexpress::Vm* vm) {
-  if (config_.saga_undo) {
-    // Saga compensation reasons about ONE update sequence at a time;
-    // merged units have no single pre-image to restore. Fall back to
-    // the sequential path rather than guess.
-    for (WorkItem& item : items) {
-      Status status = ProcessItem(item, vm);
-      if (item.done) item.done->set_value(status);
-      SettleIntent(item.intent_id);
-    }
-    return;
-  }
-
-  // Normalize every popped item into the integrated schema so the
-  // coalescer compares like with like: Path A items already are; Path B
-  // items were translated on their device thread (prepared == true).
+  // Every item is already in the integrated schema, so the coalescer
+  // compares like with like. The units take the descriptors over.
   std::vector<lexpress::UpdateDescriptor> descriptors;
   descriptors.reserve(items.size());
-  for (const WorkItem& item : items) descriptors.push_back(item.descriptor);
+  for (WorkItem& item : items) {
+    descriptors.push_back(std::move(item.descriptor));
+  }
   CoalesceResult folded =
-      CoalesceBatch(descriptors, ldap_filter_->key_attr());
+      CoalesceBatch(std::move(descriptors), ldap_filter_->key_attr());
   if (folded.coalesced_away > 0) {
     MutexLock lock(&stats_mutex_);
     stats_.coalesced += folded.coalesced_away;
   }
-
-  std::vector<UnitWork> units;
-  units.reserve(folded.units.size());
-  for (CoalescedUnit& folded_unit : folded.units) {
-    UnitWork unit;
-    unit.update = std::move(folded_unit.update);
-    unit.constituents = std::move(folded_unit.constituents);
-    unit.annihilated = folded_unit.annihilated;
-    // A unit is Path A exactly when its FIRST constituent came from an
-    // LTAP trigger (un-prepared "ldap"-schema item): the directory then
-    // already reflects that operation. Merging never changes this — the
-    // coalescer only folds a later item into an earlier unit, and the
-    // first constituent decides what the directory has seen.
-    const WorkItem& first = items[unit.constituents.front()];
-    unit.ldap_current =
-        !first.prepared && EqualsIgnoreCase(first.descriptor.schema, "ldap");
-    units.push_back(std::move(unit));
-  }
+  std::vector<CoalescedUnit>& units = folded.units;
 
   // Wave partitioning: consecutive units touching DISJOINT entities
   // propagate together; a repeated entity starts the next wave so
@@ -911,24 +721,20 @@ void UpdateManager::ProcessBatch(std::vector<WorkItem> items,
   const std::string& key_attr = ldap_filter_->key_attr();
   size_t next = 0;
   while (next < units.size()) {
-    if (queue_.closed()) {
-      // Shutdown raced the batch: fail what we have not yet propagated,
+    if (stop_epoch() != epoch) {
+      // Stop() raced the batch: fail what we have not yet propagated,
       // exactly as Stop()'s drain fails items still in the queue.
-      size_t drained = 0;
       for (; next < units.size(); ++next) {
-        drained += units[next].constituents.size();
         SettleUnit(units[next], items,
                    Status::Unavailable("update manager is shut down"),
                    /*processed=*/false);
       }
-      MutexLock lock(&stats_mutex_);
-      stats_.shutdown_drained += drained;
       return;
     }
     std::set<std::string, CaseInsensitiveLess> wave_keys;
     std::vector<size_t> wave;
     for (; next < units.size(); ++next) {
-      UnitWork& unit = units[next];
+      CoalescedUnit& unit = units[next];
       if (unit.annihilated) {
         // Add+...+Delete folded to nothing: the entity never existed
         // as far as any repository is concerned. Settle as success.
@@ -953,29 +759,82 @@ void UpdateManager::ProcessBatch(std::vector<WorkItem> items,
   }
 }
 
-void UpdateManager::PropagateWave(std::vector<UnitWork>& units,
+namespace {
+
+/// The device's record before `update` applies (saga undo's
+/// pre-image); nullopt when the record is absent or unreadable.
+std::optional<lexpress::Record> FetchPrior(
+    RepositoryFilter* filter, const lexpress::UpdateDescriptor& update) {
+  std::string key = update.old_record.GetFirst(filter->key_attr());
+  if (key.empty()) key = update.new_record.GetFirst(filter->key_attr());
+  StatusOr<std::optional<lexpress::Record>> fetched = filter->Fetch(key);
+  if (!fetched.ok()) return std::nullopt;
+  return *fetched;
+}
+
+/// The compensating update that reverts an applied `update` on a
+/// device whose record was `prior` before it (saga undo).
+lexpress::UpdateDescriptor InverseOf(
+    const lexpress::UpdateDescriptor& update,
+    const std::optional<lexpress::Record>& prior) {
+  lexpress::UpdateDescriptor inverse;
+  inverse.schema = update.schema;
+  inverse.source = "metacomm-undo";
+  inverse.conditional = true;
+  switch (update.op) {
+    case lexpress::DescriptorOp::kAdd:
+      inverse.op = lexpress::DescriptorOp::kDelete;
+      inverse.old_record = update.new_record;
+      break;
+    case lexpress::DescriptorOp::kModify:
+      inverse.op = prior.has_value() ? lexpress::DescriptorOp::kModify
+                                     : lexpress::DescriptorOp::kDelete;
+      inverse.old_record = update.new_record;
+      if (prior.has_value()) inverse.new_record = *prior;
+      break;
+    case lexpress::DescriptorOp::kDelete:
+      inverse.op = lexpress::DescriptorOp::kAdd;
+      if (prior.has_value()) inverse.new_record = *prior;
+      break;
+  }
+  return inverse;
+}
+
+}  // namespace
+
+void UpdateManager::PropagateWave(std::vector<CoalescedUnit>& units,
                                   const std::vector<size_t>& wave,
                                   std::vector<WorkItem>& items,
                                   lexpress::Vm* vm) {
   // One planned-and-alive propagation per unit in the wave.
   struct LiveUnit {
-    UnitWork* unit;
-    lexpress::UpdateDescriptor update;  // Hydrated, integrated schema.
+    const CoalescedUnit* unit;
+    lexpress::UpdateDescriptor update;  // Integrated schema, hydrated.
     UpdatePlan plan;
     std::vector<DeviceResult> results;
+    /// Saga undo: inverses of this unit's device applies, in order.
+    std::vector<std::pair<RepositoryFilter*, lexpress::UpdateDescriptor>>
+        undo;
     Status status = Status::Ok();
-    bool dead = false;  // Directory write failed: skip device fan-out.
+    /// The directory write failed, or saga undo compensated the unit:
+    /// no further device fan-out and no §5.5 round.
+    bool stopped = false;
   };
   std::vector<LiveUnit> live;
   live.reserve(wave.size());
   for (size_t index : wave) {
-    UnitWork& unit = units[index];
+    CoalescedUnit& unit = units[index];
+    // A unit has its first constituent's origin: the coalescer only
+    // folds later items of the same provenance into it.
+    const WorkItem& first = items[unit.constituents.front()];
     LiveUnit lu;
     lu.unit = &unit;
-    lu.update = unit.ldap_current ? unit.update
-                                  : HydrateDeviceUpdate(unit.update);
-    StatusOr<UpdatePlan> plan = PlanUpdate(lu.update, unit.ldap_current, vm);
+    lu.update = first.hydrate ? HydrateDeviceUpdate(std::move(unit.update))
+                              : std::move(unit.update);
+    StatusOr<UpdatePlan> plan = PlanUpdate(lu.update, first.ldap_current, vm);
     if (!plan.ok()) {
+      // Closure fixpoint failure (runtime cycle detection, §4.2) or a
+      // mapping evaluation error.
       HandleError(plan.status(), lu.update);
       SettleUnit(unit, items, plan.status(), /*processed=*/true);
       continue;
@@ -1008,13 +867,14 @@ void UpdateManager::PropagateWave(std::vector<UnitWork>& units,
   }
 
   // Phase 1 — directory writes, all under one LTAP session. A failed
-  // view write aborts THAT unit's sequence (§4.4), not the wave.
+  // view write aborts THAT unit's sequence (§4.4), not the wave. Each
+  // planned op is applied once, so the phases take their updates over.
   std::vector<lexpress::UpdateDescriptor> ldap_ops;
   std::vector<size_t> ldap_owner;
   for (size_t i = 0; i < live.size(); ++i) {
-    for (const PlannedOp& op : live[i].plan.ops) {
+    for (PlannedOp& op : live[i].plan.ops) {
       if (!EqualsIgnoreCase(op.repository, "ldap")) continue;
-      ldap_ops.push_back(op.update);
+      ldap_ops.push_back(std::move(op.update));
       ldap_owner.push_back(i);
     }
   }
@@ -1025,19 +885,19 @@ void UpdateManager::PropagateWave(std::vector<UnitWork>& units,
       LiveUnit& owner = live[ldap_owner[i]];
       HandleError(applied[i].status(), ldap_ops[i]);
       if (owner.status.ok()) owner.status = applied[i].status();
-      owner.dead = true;
+      owner.stopped = true;
     }
   }
 
-  // Phase 2 — device fan-out, one shared session (one emulated RTT)
-  // per repository for the whole wave. Device-side failures are logged
-  // and notified but do not fail the originating operation (§4.4).
+  // Phase 2 — device fan-out in plan order, one conversation per
+  // repository for the whole wave. Device-side failures are logged and
+  // notified but do not fail the originating operation (§4.4).
   for (RepositoryFilter* filter : filters_) {
     std::vector<lexpress::UpdateDescriptor> updates;
     std::vector<size_t> owners;
     for (size_t i = 0; i < live.size(); ++i) {
-      if (live[i].dead) continue;
-      for (const PlannedOp& op : live[i].plan.ops) {
+      if (live[i].stopped) continue;
+      for (PlannedOp& op : live[i].plan.ops) {
         if (!EqualsIgnoreCase(op.repository, filter->name())) continue;
         if (op.update.conditional) {
           // Reapplication to the originator (§5.4).
@@ -1045,64 +905,50 @@ void UpdateManager::PropagateWave(std::vector<UnitWork>& units,
           MutexLock lock(&stats_mutex_);
           ++stats_.reapplications;
         }
-        updates.push_back(op.update);
+        updates.push_back(std::move(op.update));
         owners.push_back(i);
       }
     }
     if (updates.empty()) continue;
-    CircuitBreaker* breaker = BreakerFor(filter->name());
-    if (breaker != nullptr &&
-        !breaker->Allow(RealClock::Get()->NowMicros())) {
-      // Open circuit: the whole wave fast-fails for this repository —
-      // no administrative conversation is even opened. Each update is
-      // logged replayably; the healthy repositories' fan-out below is
-      // untouched, which is the breaker's whole point.
-      {
-        MutexLock lock(&stats_mutex_);
-        stats_.breaker_open_skips += updates.size();
-      }
+    std::vector<std::optional<lexpress::Record>> priors;
+    if (config_.saga_undo) {
       for (const lexpress::UpdateDescriptor& update : updates) {
-        ApplyResult skipped = ApplyResult::SkippedOpenCircuit(filter->name());
-        HandleFailure(filter->name(), skipped.outcome(), skipped.status(),
-                      update);
+        priors.push_back(FetchPrior(filter, update));
       }
-      continue;
     }
-    std::vector<ApplyResult> applied = filter->ApplyBatch(updates);
-    if (updates.size() > 1) {
-      MutexLock lock(&stats_mutex_);
-      stats_.rtts_saved += updates.size() - 1;
-    }
+    std::vector<ApplyResult> applied = ApplyToRepository(filter, updates);
     for (size_t i = 0; i < applied.size(); ++i) {
-      if (breaker != nullptr) {
-        // Feed the breaker in batch order so consecutive-failure
-        // counting matches the sequential path exactly. A permanent
-        // rejection means the device responded: proof of life.
-        if (applied[i].outcome() == ApplyOutcome::kRetryable) {
-          breaker->OnRetryableFailure(RealClock::Get()->NowMicros());
-        } else {
-          breaker->OnSuccess();
-        }
-      }
+      LiveUnit& owner = live[owners[i]];
       if (!applied[i].ok()) {
         HandleFailure(filter->name(), applied[i].outcome(),
                       applied[i].status(), updates[i]);
+        if (config_.saga_undo) {
+          // Compensate this unit's applies at the earlier repositories
+          // and skip its later ones. The failure itself was logged and
+          // the administrator notified; the directory write stands
+          // (§4.4: errors are repaired out-of-band).
+          UndoApplied(owner.undo);
+          owner.stopped = true;
+        }
         continue;
       }
       {
         MutexLock lock(&stats_mutex_);
         ++stats_.device_applies;
       }
+      if (config_.saga_undo) {
+        owner.undo.emplace_back(filter, InverseOf(updates[i], priors[i]));
+      }
       if (updates[i].op != lexpress::DescriptorOp::kDelete) {
-        live[owners[i]].results.push_back(DeviceResult{
-            filter, updates[i].new_record, std::move(*applied[i])});
+        owner.results.push_back(DeviceResult{
+            filter, std::move(updates[i].new_record), std::move(*applied[i])});
       }
     }
   }
 
   // Phase 3 — §5.5 generated-information round, then settle.
   for (LiveUnit& lu : live) {
-    if (!lu.dead && lu.update.op != lexpress::DescriptorOp::kDelete) {
+    if (!lu.stopped && lu.update.op != lexpress::DescriptorOp::kDelete) {
       (void)BackfillGeneratedInfo(lu.update, lu.plan, lu.results);
     }
     SettleUnit(*lu.unit, items, lu.status, /*processed=*/true);
@@ -1208,28 +1054,46 @@ CircuitBreaker* UpdateManager::breaker(const std::string& repository) const {
   return BreakerFor(repository);
 }
 
-ApplyResult UpdateManager::ApplyToRepository(
-    RepositoryFilter* filter, const lexpress::UpdateDescriptor& update) {
+std::vector<ApplyResult> UpdateManager::ApplyToRepository(
+    RepositoryFilter* filter,
+    const std::vector<lexpress::UpdateDescriptor>& updates) {
   CircuitBreaker* breaker = BreakerFor(filter->name());
   if (breaker != nullptr &&
       !breaker->Allow(RealClock::Get()->NowMicros())) {
+    // Open circuit: no administrative conversation is even opened. The
+    // caller logs each update replayably; the healthy repositories'
+    // fan-out is untouched, which is the breaker's whole point.
     {
       MutexLock lock(&stats_mutex_);
-      ++stats_.breaker_open_skips;
+      stats_.breaker_open_skips += updates.size();
     }
-    return ApplyResult::SkippedOpenCircuit(filter->name());
+    return std::vector<ApplyResult>(
+        updates.size(), ApplyResult::SkippedOpenCircuit(filter->name()));
   }
-  ApplyResult result = filter->Apply(update);
+  std::vector<ApplyResult> applied = filter->ApplyBatch(updates);
+  if (updates.size() > 1) {
+    MutexLock lock(&stats_mutex_);
+    stats_.rtts_saved += updates.size() - 1;
+  }
   if (breaker != nullptr) {
-    if (result.outcome() == ApplyOutcome::kRetryable) {
-      breaker->OnRetryableFailure(RealClock::Get()->NowMicros());
-    } else {
-      // Applied, or permanently rejected — either way the device
-      // responded, so the administrative link is alive.
-      breaker->OnSuccess();
+    for (const ApplyResult& result : applied) {
+      if (result.outcome() == ApplyOutcome::kRetryable) {
+        breaker->OnRetryableFailure(RealClock::Get()->NowMicros());
+      } else {
+        // Applied, or permanently rejected — either way the device
+        // responded, so the administrative link is alive.
+        breaker->OnSuccess();
+      }
     }
   }
-  return result;
+  return applied;
+}
+
+ApplyResult UpdateManager::ApplyToRepository(
+    RepositoryFilter* filter, const lexpress::UpdateDescriptor& update) {
+  return std::move(
+      ApplyToRepository(filter, std::vector<lexpress::UpdateDescriptor>{update})
+          .front());
 }
 
 void UpdateManager::RepairLoop() {
@@ -1552,8 +1416,8 @@ Status UpdateManager::Synchronize(const std::string& device_name) {
   const std::string& ldap_key_of_device =
       filter->to_ldap().key_target_attr();
 
-  // Device -> directory (and, through Propagate, to other devices that
-  // share the data being synchronized).
+  // Device -> directory (and, through the propagation pipeline, to
+  // other devices that share the data being synchronized).
   std::set<std::string> device_keys;
   Status first_error = Status::Ok();
   for (const lexpress::Record& record : *dump) {
@@ -1597,8 +1461,11 @@ Status UpdateManager::Synchronize(const std::string& device_name) {
       upsert.explicit_attrs.insert(attr);
     }
     upsert.explicit_attrs.erase(kLastUpdaterAttr);
-    Status status = Propagate(upsert, /*ldap_current=*/false,
-                              /*vm=*/nullptr);
+    // Quiesce stands in for entry locks, and the upsert carries the
+    // directory's full image: neither current nor to be hydrated.
+    WorkItem item;
+    item.descriptor = std::move(upsert);
+    Status status = ProcessOne(std::move(item), entry_epoch);
     if (!status.ok() && first_error.ok()) first_error = status;
   }
 

@@ -15,6 +15,7 @@
 #include "common/sharded_blocking_queue.h"
 #include "common/thread_annotations.h"
 #include "core/circuit_breaker.h"
+#include "core/coalescer.h"
 #include "core/error_log.h"
 #include "core/ldap_filter.h"
 #include "core/repository_filter.h"
@@ -27,8 +28,8 @@ namespace metacomm::core {
 /// Update Manager tuning.
 struct UpdateManagerConfig {
   /// true: worker threads drain the update queue (production shape).
-  /// false: callers drive processing synchronously — trigger
-  /// notifications process inline and Pump() drains queued DDUs —
+  /// false: callers drive processing synchronously — trigger and
+  /// device notifications process inline on the notifying thread —
   /// which is what the deterministic tests and benches use.
   bool threaded = false;
   /// Number of update workers (threaded mode). Each worker owns one
@@ -50,9 +51,11 @@ struct UpdateManagerConfig {
   /// reapplied to their originating device, so the write-write
   /// convergence of §4.4/§5.4 is lost under racing updates.
   bool reapply_to_originator = true;
-  /// The saga-style undo of §4.4's "later version": on a failed device
-  /// update, already-applied device updates of the same sequence are
-  /// compensated using pre-update information.
+  /// The saga-style undo of §4.4's "later version", per unit of a
+  /// wave: when a unit's update fails at a device, that unit's applies
+  /// at the earlier devices of its plan are compensated newest first
+  /// from their pre-update images and its remaining devices are
+  /// skipped. Other units of the wave are untouched.
   bool saga_undo = false;
   /// Where error-log entries are written ("cn=errors,o=Lucent");
   /// empty disables directory error logging.
@@ -60,18 +63,18 @@ struct UpdateManagerConfig {
   /// Experiment instrumentation: sleep this long between computing an
   /// update's closure and writing it back, widening the window in
   /// which concurrent updates can interleave. Used by the locking
-  /// ablation (EXPERIMENTS.md A2); zero in production. In the batched
-  /// path the delay models the per-conversation device cost and is
-  /// paid once per WAVE, not once per update.
+  /// ablation (EXPERIMENTS.md A2); zero in production. The delay
+  /// models the per-conversation device cost and is paid once per
+  /// WAVE, not once per update.
   int64_t artificial_processing_delay_micros = 0;
-  /// Most items a worker drains from its shard per wakeup. 1 (the
-  /// default) is the paper's one-update-per-device-conversation shape
-  /// and leaves every existing code path untouched; larger values
-  /// enable the batched, coalescing propagation pipeline (DESIGN.md
-  /// "Batching & coalescing"): redundant same-entity updates fold
-  /// together and each repository pays its conversation cost once per
-  /// batch instead of once per update. Incompatible with `saga_undo`
-  /// (batches fall back to sequential processing when both are set).
+  /// Most items a worker (or Pump()) drains from a shard at once.
+  /// Every drain runs the same coalesce -> waves pipeline (DESIGN.md
+  /// "Batching & coalescing"), and each wave holds one conversation
+  /// per repository. 1 (the default) is the paper's
+  /// one-update-per-device-conversation shape: each update is a
+  /// one-unit wave. Larger values also fold redundant same-entity
+  /// updates and share each repository's conversation across the
+  /// units of a wave.
   int max_batch_size = 1;
   /// Per-repository circuit breaker (DESIGN.md "Fault tolerance").
   /// When a device's administrative link is down, every propagation
@@ -172,7 +175,9 @@ class UpdateManager : public ltap::TriggerActionServer {
   /// callers when the queue dies.
   void Stop();
 
-  /// Synchronous mode: processes queued DDUs inline; returns how many.
+  /// Drains the queue on the calling thread, max_batch_size items at a
+  /// time through the workers' pipeline (for a threaded UM that was
+  /// not started); returns how many items it processed.
   size_t Pump();
 
   /// Direct device update intake (wired to DeviceFilter::SetDduHandler
@@ -193,8 +198,8 @@ class UpdateManager : public ltap::TriggerActionServer {
   /// Re-submits every unresolved intent RecoverBackend found — the
   /// acked-but-unapplied device updates of the previous process —
   /// through the normal convergence path, keeping their original
-  /// intent ids. Call after Start() (threaded) or drive Pump()
-  /// afterwards (synchronous). Returns how many were re-submitted.
+  /// intent ids. Call after Start() (threaded); a synchronous UM
+  /// processes them inline. Returns how many were re-submitted.
   size_t ReplayRecoveredIntents();
 
   /// Synchronizes one device with the directory under quiesce (§4.4,
@@ -257,12 +262,14 @@ class UpdateManager : public ltap::TriggerActionServer {
     uint64_t closure_iterations = 0;
     uint64_t syncs = 0;
     uint64_t lock_retries = 0;       // DDU lock retry attempts.
-    uint64_t shutdown_drained = 0;   // Items failed by Stop()'s drain.
-    uint64_t batches = 0;            // Worker queue drains (incl. size 1).
+    uint64_t shutdown_drained = 0;   // Items Stop() failed unprocessed
+                                     // (queued or in a worker's hand).
+    uint64_t batches = 0;            // Queue drains (incl. size 1).
     uint64_t coalesced = 0;          // Items folded away by the coalescer.
-    uint64_t rtts_saved = 0;         // Repository conversations amortized
-                                     // away by batching (device sessions
-                                     // shared + per-wave delay sharing).
+    uint64_t rtts_saved = 0;         // Conversations saved against one
+                                     // per unit: a wave of n units shares
+                                     // each device session and the
+                                     // processing delay (n-1 each).
     uint64_t breaker_open_skips = 0;  // Updates fast-failed, circuit open.
     uint64_t replayed = 0;            // Error-log entries replayed ok.
     uint64_t repair_passes = 0;       // RunRepairPass invocations.
@@ -293,6 +300,7 @@ class UpdateManager : public ltap::TriggerActionServer {
 
  private:
   struct WorkItem {
+    /// The update in the integrated ("ldap") schema.
     lexpress::UpdateDescriptor descriptor;
     /// Entry locks already held for this item, owned by its private
     /// `lock_session`. Taken on the submitting thread, BEFORE the item
@@ -310,14 +318,19 @@ class UpdateManager : public ltap::TriggerActionServer {
     size_t shard = 0;
     /// Enqueue timestamp for the per-shard latency counters.
     int64_t enqueue_micros = 0;
-    /// True when `descriptor` is already translated to the ldap schema
-    /// and `locked` is populated (prepared device update).
-    bool prepared = false;
+    /// Set by the origin. Path A: the directory already reflects the
+    /// update (LTAP applied the client's operation). Path B: the
+    /// device reported partial images, which are hydrated from the
+    /// directory before planning. Synchronize upserts are neither.
+    bool ldap_current = false;
+    bool hydrate = false;
     /// Set when a completion needs to be signalled (threaded Path A).
     std::shared_ptr<std::promise<Status>> done;
     /// Durable intent backing this item (0: none). Resolved when the
-    /// item settles; left pending when Stop() drains it unprocessed.
+    /// item settles; left pending when Stop() abandons it unprocessed.
     uint64_t intent_id = 0;
+    /// The item's outcome, set when it settles.
+    Status status = Status::Ok();
   };
 
   /// SubmitDeviceUpdate body, parameterized on the backing intent:
@@ -337,9 +350,6 @@ class UpdateManager : public ltap::TriggerActionServer {
   StatusOr<std::optional<WorkItem>> PrepareDeviceUpdate(
       const lexpress::UpdateDescriptor& update);
 
-  /// Propagates a prepared device update and releases its locks.
-  Status FinishDeviceUpdate(const WorkItem& item, lexpress::Vm* vm);
-
   /// Overlays a device update's partial images onto the directory's
   /// current entry so fan-out never clears attributes the source
   /// device doesn't carry. Requires the item's entry lock to be held.
@@ -357,26 +367,6 @@ class UpdateManager : public ltap::TriggerActionServer {
   StatusOr<lexpress::UpdateDescriptor> DescriptorFromNotification(
       const ltap::UpdateNotification& notification) const;
 
-  /// Processes one queued item (dispatches on descriptor schema).
-  /// `vm` is the calling worker's interpreter, reused across items.
-  Status ProcessItem(const WorkItem& item, lexpress::Vm* vm);
-
-  /// Path A tail: descriptor is in the "ldap" schema and the directory
-  /// already reflects the client's operation.
-  Status ProcessLdapOriginated(const lexpress::UpdateDescriptor& update,
-                               lexpress::Vm* vm);
-
-  /// Path B: descriptor is in a device schema; takes the LTAP entry
-  /// lock, applies to the directory, propagates (§4.4).
-  Status ProcessDeviceOriginated(const lexpress::UpdateDescriptor& update,
-                                 lexpress::Vm* vm);
-
-  /// Shared propagation tail: closure, directory diff, device fan-out,
-  /// generated-information round. `ldap_current` tells whether the
-  /// directory already reflects update.new_record's explicit changes.
-  Status Propagate(const lexpress::UpdateDescriptor& ldap_update,
-                   bool ldap_current, lexpress::Vm* vm);
-
   /// PlanUpdate with the worker's interpreter (the public overload
   /// forwards with the per-thread fallback).
   StatusOr<UpdatePlan> PlanUpdate(
@@ -392,41 +382,44 @@ class UpdateManager : public ltap::TriggerActionServer {
 
   /// The §5.5 device-generated-information round: folds attributes the
   /// devices MINTED (differ from what we sent) back into the directory.
-  /// Shared by the sequential and the batched propagation paths.
   Status BackfillGeneratedInfo(const lexpress::UpdateDescriptor& ldap_update,
                                const UpdatePlan& plan,
                                const std::vector<DeviceResult>& results);
 
-  /// A coalesced unit of batch work: the effective update plus the
-  /// queue items it settles (promises + entry-lock sessions).
-  struct UnitWork {
-    lexpress::UpdateDescriptor update;
-    std::vector<size_t> constituents;  // Indices into the popped batch.
-    bool annihilated = false;
-    bool ldap_current = false;  // Path A unit: directory already current.
-  };
+  /// Processes one item outside the queue (synchronous-mode updates,
+  /// Synchronize upserts) as a one-item drain; returns its outcome.
+  Status ProcessOne(WorkItem item, uint64_t epoch);
 
-  /// The batched path (max_batch_size > 1): coalesces the popped
-  /// items, partitions the units into entity-disjoint waves, and
-  /// propagates each wave with shared repository conversations.
-  void ProcessBatch(std::vector<WorkItem> items, lexpress::Vm* vm);
+  /// The propagation pipeline every drain runs: coalesces the items,
+  /// partitions the units into entity-disjoint waves, and propagates
+  /// each wave with one conversation per repository. Every item
+  /// settles, with its outcome in `status`. `epoch` is the stop epoch
+  /// the caller started in: once Stop() moves it on, the units not
+  /// yet propagated are abandoned (Unavailable, intents pending).
+  void ProcessBatch(std::vector<WorkItem>& items, uint64_t epoch,
+                    lexpress::Vm* vm);
 
-  /// Plans and executes one wave of entity-disjoint units: one shared
-  /// processing delay, one LTAP session for all directory writes, one
-  /// device session per repository. Settles every constituent.
-  void PropagateWave(std::vector<UnitWork>& units,
+  /// Plans and executes one wave of entity-disjoint units (consuming
+  /// their descriptors): one shared processing delay, one LTAP session
+  /// for all directory writes, one device session per repository.
+  /// Settles every constituent.
+  void PropagateWave(std::vector<CoalescedUnit>& units,
                      const std::vector<size_t>& wave,
                      std::vector<WorkItem>& items, lexpress::Vm* vm);
 
-  /// Releases each constituent's locks and completes its promise.
-  /// `processed` distinguishes a settled outcome (success, or a
-  /// failure the error log now owns — intents resolve) from a
-  /// shutdown drain (intents stay pending and replay on restart).
-  void SettleUnit(const UnitWork& unit, std::vector<WorkItem>& items,
-                  const Status& status, bool processed);
+  /// Releases each constituent's locks, records `status` and completes
+  /// its promise. `processed` distinguishes a settled outcome
+  /// (success, or a failure the error log now owns — intents resolve)
+  /// from a shutdown abandonment (intents stay pending and replay on
+  /// restart; counted as shutdown_drained).
+  void SettleUnit(const CoalescedUnit& unit, std::vector<WorkItem>& items,
+                  const Status& status, bool processed)
+      EXCLUDES(stats_mutex_);
 
-  /// Batch-size telemetry for one worker queue drain.
-  void RecordBatch(size_t batch_size) EXCLUDES(stats_mutex_);
+  /// Queue telemetry for one drain: batch size, and each item's
+  /// dequeue and queue wait on its shard.
+  void RecordDrain(const std::vector<WorkItem>& batch)
+      EXCLUDES(stats_mutex_);
 
   /// Writes an audit-only error entry (no replay target) and notifies
   /// the administrator. Directory aborts and planning failures land
@@ -446,10 +439,14 @@ class UpdateManager : public ltap::TriggerActionServer {
                      const lexpress::UpdateDescriptor& update)
       EXCLUDES(admin_mutex_);
 
-  /// Sends one update through the repository's circuit breaker: an
-  /// open circuit yields kSkippedOpenCircuit without touching the
-  /// repository; otherwise the apply result feeds the breaker (a
-  /// permanent rejection is proof of life and counts as success).
+  /// Sends updates through the repository's circuit breaker over ONE
+  /// conversation: an open circuit yields kSkippedOpenCircuit for every
+  /// update without touching the repository; otherwise each apply
+  /// result feeds the breaker in order (a permanent rejection is proof
+  /// of life and counts as success). Results are positional.
+  std::vector<ApplyResult> ApplyToRepository(
+      RepositoryFilter* filter,
+      const std::vector<lexpress::UpdateDescriptor>& updates);
   ApplyResult ApplyToRepository(RepositoryFilter* filter,
                                 const lexpress::UpdateDescriptor& update);
 
@@ -491,7 +488,8 @@ class UpdateManager : public ltap::TriggerActionServer {
   void DeleteErrorEntry(const ldap::Dn& dn, const std::string& repository)
       EXCLUDES(stats_mutex_);
 
-  /// Reverts already-applied device updates (saga extension).
+  /// Reverts already-applied device updates, newest first (saga
+  /// extension).
   void UndoApplied(
       const std::vector<std::pair<RepositoryFilter*,
                                   lexpress::UpdateDescriptor>>& applied);
@@ -503,12 +501,10 @@ class UpdateManager : public ltap::TriggerActionServer {
   /// (the caller still owns the item's locks).
   bool Enqueue(WorkItem item) EXCLUDES(stats_mutex_);
 
-  /// Records a worker (or Pump) picking `item` up.
-  void RecordDequeue(const WorkItem& item) EXCLUDES(stats_mutex_);
-
   /// One worker per shard: drains that shard in strict FIFO order, so
   /// per-entry ordering holds while distinct entries run in parallel.
-  void WorkerLoop(size_t shard);
+  /// `epoch` is the stop epoch the worker pool was started in.
+  void WorkerLoop(size_t shard, uint64_t epoch);
 
   ltap::LtapGateway* gateway_;
   LdapFilter* ldap_filter_;

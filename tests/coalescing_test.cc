@@ -377,5 +377,47 @@ TEST(BatchedPipelineTest, ConvergesWithBatchingEnabled) {
   (*system)->update_manager().Stop();
 }
 
+/// The paper's shape (max_batch_size=1) runs the same pipeline: a lone
+/// update is a one-unit wave that holds ONE conversation per device —
+/// the converter's display/change/display commands all ride it —
+/// whether a worker drains it or the client's thread runs it inline.
+class LoneUpdateTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(LoneUpdateTest, PaysOneConversationPerRepository) {
+  SystemConfig config;
+  config.um.threaded = GetParam();
+  config.um.max_batch_size = 1;
+  config.device_command_rtt_micros = 100;
+  auto system = MetaCommSystem::Create(std::move(config));
+  ASSERT_TRUE(system.ok()) << system.status();
+  ASSERT_TRUE((*system)
+                  ->AddPerson("John Doe",
+                              {{"telephoneNumber", "+1 908 582 4567"}})
+                  .ok());
+  devices::LatencyEmulator& pbx = (*system)->pbx("pbx1")->latency();
+  devices::LatencyEmulator& mp = (*system)->mp("mp1")->latency();
+  const uint64_t pbx_before = pbx.round_trips();
+  const uint64_t mp_before = mp.round_trips();
+
+  ldap::Client client = (*system)->NewClient();
+  ASSERT_TRUE(client
+                  .Replace("cn=John Doe,ou=People,o=Lucent", "roomNumber",
+                           "3F-112")
+                  .ok());
+
+  EXPECT_EQ(pbx.round_trips() - pbx_before, 1u);
+  EXPECT_EQ(mp.round_trips() - mp_before, 1u);
+  auto station = (*system)->pbx("pbx1")->GetRecord("4567");
+  ASSERT_TRUE(station.ok()) << station.status();
+  EXPECT_EQ(station->GetFirst("Room"), "3F-112");
+  EXPECT_EQ((*system)->update_manager().stats().errors, 0u);
+  (*system)->update_manager().Stop();
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, LoneUpdateTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "threaded" : "synchronous";
+                         });
+
 }  // namespace
 }  // namespace metacomm::core

@@ -204,6 +204,42 @@ TEST(LoggingTest, SinkCapturesAboveThreshold) {
   logger.set_min_level(old_level);
 }
 
+TEST(LoggingTest, FilteredMessageDoesNotEvaluateItsOperands) {
+  Logger& logger = Logger::Get();
+  LogLevel old_level = logger.min_level();
+  std::vector<std::string> captured;
+  logger.set_sink([&captured](LogLevel, const std::string& message) {
+    captured.push_back(message);
+  });
+  logger.set_min_level(LogLevel::kWarning);
+  int evaluated = 0;
+  auto operand = [&evaluated] {
+    ++evaluated;
+    return std::string("formatted");
+  };
+
+  METACOMM_LOG(kDebug) << operand();
+  METACOMM_LOG(kInfo) << "n=" << operand() << operand();
+  EXPECT_EQ(evaluated, 0);
+  EXPECT_TRUE(captured.empty());
+
+  // One expression: an unbraced if/else keeps its else.
+  bool took_else = false;
+  if (evaluated > 0)
+    METACOMM_LOG(kError) << operand();
+  else
+    took_else = true;
+  EXPECT_TRUE(took_else);
+
+  METACOMM_LOG(kWarning) << operand();
+  EXPECT_EQ(evaluated, 1);
+  ASSERT_EQ(captured.size(), 1u);
+  EXPECT_EQ(captured[0], "formatted");
+
+  logger.set_sink(nullptr);
+  logger.set_min_level(old_level);
+}
+
 TEST(LoggingTest, LevelNames) {
   EXPECT_STREQ(LogLevelName(LogLevel::kDebug), "DEBUG");
   EXPECT_STREQ(LogLevelName(LogLevel::kInfo), "INFO");

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "core/integrated_schema.h"
 #include "core/metacomm.h"
 
@@ -281,6 +284,73 @@ TEST_F(IntegrationTest, SagaUndoRevertsAppliedDeviceUpdates) {
   EXPECT_TRUE(station.ok()) << station.status();
   EXPECT_FALSE(system_->pbx("pbx1")->GetRecord("4999").ok());
   EXPECT_GE(system_->update_manager().stats().undos, 1u);
+}
+
+TEST_F(IntegrationTest, SagaUndoCompensatesOnlyTheFailedUnitOfAWave) {
+  SystemConfig config;
+  config.um.saga_undo = true;
+  config.um.threaded = true;
+  config.um.worker_threads = 1;
+  config.um.max_batch_size = 8;
+  // Every wave pays this; it keeps the worker busy while both DDUs
+  // queue up behind a slow directory-only add.
+  config.um.artificial_processing_delay_micros = 100'000;
+  Build(config);
+  ASSERT_TRUE(system_
+                  ->AddPerson("Alice Saga",
+                              {{"telephoneNumber", "+1 908 582 4567"}})
+                  .ok());
+  ASSERT_TRUE(system_
+                  ->AddPerson("Bob Saga",
+                              {{"telephoneNumber", "+1 908 582 4568"}})
+                  .ok());
+  UpdateManager& um = system_->update_manager();
+  const UpdateManager::Stats before = um.stats();
+
+  // Occupy the worker: a person outside both devices' partitions is a
+  // directory-only unit, so it leaves the devices' fault scripts alone.
+  std::thread slow([this] {
+    EXPECT_TRUE(system_->AddPerson("No Phone").ok());
+  });
+  for (int i = 0; i < 5000 && um.stats().batches == before.batches; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // Both DDUs queue behind it and drain together as one two-unit wave.
+  // The messaging platform fails the wave's first apply: Alice's.
+  system_->mp("mp1")->faults().FailNext(1);
+  ASSERT_TRUE(system_->pbx("pbx1")
+                  ->ExecuteCommand("change station 4567 Room SAGA-A")
+                  .ok());
+  ASSERT_TRUE(system_->pbx("pbx1")
+                  ->ExecuteCommand("change station 4568 Room SAGA-B")
+                  .ok());
+  slow.join();
+  for (int i = 0; i < 5000 && um.stats().device_applies <
+                                  before.device_applies + 3;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  um.Stop();
+
+  UpdateManager::Stats after = um.stats();
+  EXPECT_GT(after.batch_size_buckets[1], before.batch_size_buckets[1])
+      << "the two DDUs did not share a drain";
+  // Alice's unit: the mp1 failure compensated its pbx1 reapplication
+  // and nothing else. Bob's unit: both devices applied.
+  EXPECT_EQ(after.errors - before.errors, 1u);
+  EXPECT_EQ(after.undos - before.undos, 1u);
+  EXPECT_EQ(after.device_applies - before.device_applies, 3u);
+  // Both directory writes stand (§4.4) and each station keeps what its
+  // technician set.
+  EXPECT_EQ(MustGet("cn=Alice Saga,ou=People,o=Lucent").GetFirst("roomNumber"),
+            "SAGA-A");
+  EXPECT_EQ(MustGet("cn=Bob Saga,ou=People,o=Lucent").GetFirst("roomNumber"),
+            "SAGA-B");
+  auto alice = system_->pbx("pbx1")->GetRecord("4567");
+  auto bob = system_->pbx("pbx1")->GetRecord("4568");
+  ASSERT_TRUE(alice.ok() && bob.ok());
+  EXPECT_EQ(alice->GetFirst("Room"), "SAGA-A");
+  EXPECT_EQ(bob->GetFirst("Room"), "SAGA-B");
 }
 
 TEST_F(IntegrationTest, InconsistentExplicitUpdateFirstMappingWins) {

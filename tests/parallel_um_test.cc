@@ -8,6 +8,7 @@
 
 #include "core/integrated_schema.h"
 #include "core/metacomm.h"
+#include "storage/fs.h"
 
 namespace metacomm::core {
 namespace {
@@ -306,6 +307,51 @@ TEST_P(ParallelUmTest, StopDrainsPartiallyPoppedBatches) {
   Status after = client.Replace("cn=B 4600,ou=People,o=Lucent",
                                 "roomNumber", "AFTER-STOP");
   EXPECT_EQ(after.code(), StatusCode::kUnavailable) << after;
+}
+
+/// A DDU is acknowledged to the device administrator once its intent
+/// is logged. If Stop() abandons it mid-propagation (here: inside the
+/// processing delay of its one-unit wave) it was never applied, so its
+/// intent must stay pending and replay on the next start — not be
+/// resolved as if the update had settled.
+TEST_P(ParallelUmTest, DduAbandonedByStopKeepsItsIntentPending) {
+  const std::string data_dir = std::string(::testing::TempDir()) +
+                               "/metacomm_um_abandon_" +
+                               std::to_string(GetParam());
+  auto wipe = [&data_dir] {
+    auto names = storage::ListDir(data_dir);
+    if (!names.ok()) return;
+    for (const std::string& name : *names) {
+      (void)storage::RemoveFile(data_dir + "/" + name);
+    }
+  };
+  wipe();
+  SystemConfig config;
+  config.durability.data_dir = data_dir;
+  config.durability.wal_fsync = storage::FsyncPolicy::kOff;
+  config.durability.checkpoint_interval_micros = 0;
+  config.um.max_batch_size = 1;
+  config.um.artificial_processing_delay_micros = 200'000;
+  BuildSystem(std::move(config));
+  ASSERT_TRUE(system_
+                  ->AddPerson("Intent Target",
+                              {{"telephoneNumber", "+1 908 582 4700"}})
+                  .ok());
+
+  auto reply = system_->pbx("pbx1")->ExecuteCommand(
+      "change station 4700 Room ABANDONED");
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  // The worker holds the DDU (the queue is empty again) and sleeps out
+  // the wave's processing delay when Stop() interrupts it.
+  ASSERT_TRUE(Eventually(
+      [&] { return system_->update_manager().QueueDepth() == 0; }));
+  system_->update_manager().Stop();
+
+  EXPECT_EQ(system_->durability()->PendingIntents().size(), 1u);
+  EXPECT_FALSE(system_->gateway().lock_table().IsLocked(
+      *ldap::Dn::Parse("cn=Intent Target,ou=People,o=Lucent")));
+  system_.reset();
+  wipe();
 }
 
 INSTANTIATE_TEST_SUITE_P(WorkerCounts, ParallelUmTest,

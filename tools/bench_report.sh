@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Runs every bench binary with --json and collects the BENCH_<name>.json
-# reports at the repo root. Run from anywhere:
+# reports. A full run writes them at the repo root, over the committed
+# baselines; --smoke and --compare runs write them under build/ and
+# leave the committed baselines alone. Run from anywhere:
 #
 #   tools/bench_report.sh              # full run (default min time)
 #   tools/bench_report.sh --smoke      # 1 quick pass per bench (CI)
@@ -12,15 +14,15 @@
 # p50/p99 across the runs — see bench/bench_main.h. The benches must
 # already be built (cmake --build build).
 #
-# --compare reads each committed BENCH_<name>.json out of git HEAD
-# (the fresh run overwrites the working-tree copy, so the baseline must
-# be taken BEFORE running), reruns the bench, and compares per-run
-# real_ms by benchmark name. Runs more than 20% slower than baseline
+# --compare reads each committed BENCH_<name>.json out of git HEAD,
+# reruns the bench into build/, and compares per-run real_ms by
+# benchmark name. Runs more than 20% slower than baseline
 # are flagged and the script exits non-zero. Benches without a
 # committed baseline are reported and skipped.
 set -u
 
 cd "$(dirname "$0")/.."
+root="$(pwd)"
 bindir=build/bench
 
 min_time=""
@@ -37,6 +39,11 @@ if [ "${#benches[@]}" -eq 0 ]; then
   for bin in "$bindir"/bench_*; do
     [ -x "$bin" ] && benches+=("$(basename "$bin")")
   done
+fi
+# Each bench writes BENCH_<name>.json into its working directory.
+outdir="$root"
+if [ -n "$min_time" ] || [ "$compare" -eq 1 ]; then
+  outdir="$root/build"
 fi
 if [ "${#benches[@]}" -eq 0 ]; then
   echo "no bench binaries under $bindir — build first:" >&2
@@ -88,7 +95,7 @@ PY
 failures=0
 regressions=0
 for name in "${benches[@]}"; do
-  bin="$bindir/$name"
+  bin="$root/$bindir/$name"
   if [ ! -x "$bin" ]; then
     echo "SKIP $name (not built)"
     continue
@@ -104,19 +111,19 @@ for name in "${benches[@]}"; do
   fi
   printf '\n== %s ==\n' "$name"
   # shellcheck disable=SC2086
-  if ! "$bin" --json $min_time; then
+  if ! (cd "$outdir" && "$bin" --json $min_time); then
     echo "FAIL: $name"
     failures=$((failures + 1))
     continue
   fi
   if [ "$compare" -eq 1 ]; then
     echo "compare vs HEAD:$report"
-    compare_reports "$baseline_dir/$report" "$report" \
+    compare_reports "$baseline_dir/$report" "$outdir/$report" \
       || regressions=$((regressions + 1))
   fi
 done
 
-printf '\nreports:\n'
-ls -1 BENCH_*.json 2>/dev/null || echo "  (none)"
+printf '\nreports in %s:\n' "$outdir"
+(cd "$outdir" && ls -1 BENCH_*.json 2>/dev/null) || echo "  (none)"
 [ "$regressions" -gt 0 ] && echo "bench compare: $regressions bench(es) with flagged regressions"
 exit "$(( (failures + regressions) > 0 ))"

@@ -37,7 +37,9 @@
 #      expected to FAIL; it is checked for non-zero exit).
 #   5. clang-tidy over src/, tools/ and bench/ — skipped when absent.
 #   6. Bench smoke: one quick pass of bench_batching with --json and a
-#      parse of the emitted BENCH_batching.json.
+#      parse of the emitted BENCH_batching.json. Stages 6-6d run the
+#      benches from build/, so their smoke reports land in build/ and
+#      the committed BENCH_*.json baselines at the root stay untouched.
 #   6b. Wire bench smoke: bench_wire's 100-connection point (real
 #       sockets end to end) with --json, parsing BENCH_wire.json.
 #   6c. lexpress bench smoke: bench_lexpress's MapRecord and
@@ -52,8 +54,9 @@
 #       and smoke-runs every workload, traced and untraced, with its
 #       reply checks and end-state audit. A net or ldap change that
 #       breaks the benchmark fails here.
-#   7. Bench regression compare: quick reruns diffed against the
-#      committed BENCH_*.json baselines (>20% slowdowns flagged).
+#   7. Bench regression compare: quick reruns (written to build/)
+#      diffed against the committed BENCH_*.json baselines (>20%
+#      slowdowns flagged).
 #      Non-fatal — smoke-length runs are too noisy to gate on.
 set -u
 
@@ -197,82 +200,42 @@ else
   echo "clang-tidy not installed; skipping (.clang-tidy documents the profile)"
 fi
 
+# Runs one bench's smoke points from build/, so its BENCH_<name>.json
+# lands there instead of over the committed baseline at the root, and
+# parses the report.
+bench_smoke() {
+  local name="$1" filter="$2" report="BENCH_${1#bench_}.json"
+  if [ ! -x "build/bench/$name" ]; then
+    fail "$name not built"
+    return
+  fi
+  rm -f "build/$report"
+  if ! (cd build && "./bench/$name" --json --benchmark_min_time=0.01 \
+          --benchmark_filter="$filter" >/dev/null); then
+    fail "$name smoke run"
+  elif python3 -c "import json, sys; json.load(open(sys.argv[1]))" \
+         "build/$report" 2>/dev/null; then
+    echo "build/$report: valid JSON"
+  else
+    fail "build/$report missing or unparsable"
+  fi
+}
+
 # -- 6. Bench smoke ---------------------------------------------------
 note "bench smoke (--json)"
-if [ -x build/bench/bench_batching ]; then
-  rm -f BENCH_batching.json
-  if ./build/bench/bench_batching --json --benchmark_min_time=0.01 \
-       --benchmark_filter='batch:(1|16)/' >/dev/null; then
-    if python3 -c "import json; json.load(open('BENCH_batching.json'))" \
-         2>/dev/null; then
-      echo "BENCH_batching.json: valid JSON"
-    else
-      fail "BENCH_batching.json missing or unparsable"
-    fi
-  else
-    fail "bench_batching smoke run"
-  fi
-else
-  fail "bench_batching not built"
-fi
+bench_smoke bench_batching 'batch:(1|16)/'
 
 # -- 6b. Wire bench smoke ---------------------------------------------
 note "bench_wire smoke (100-connection point, --json)"
-if [ -x build/bench/bench_wire ]; then
-  rm -f BENCH_wire.json
-  if ./build/bench/bench_wire --json --benchmark_min_time=0.01 \
-       --benchmark_filter='/100/' >/dev/null; then
-    if python3 -c "import json; json.load(open('BENCH_wire.json'))" \
-         2>/dev/null; then
-      echo "BENCH_wire.json: valid JSON"
-    else
-      fail "BENCH_wire.json missing or unparsable"
-    fi
-  else
-    fail "bench_wire smoke run"
-  fi
-else
-  fail "bench_wire not built"
-fi
+bench_smoke bench_wire '/100/'
 
 # -- 6c. lexpress bench smoke -----------------------------------------
 note "bench_lexpress smoke (fast + reference pipelines, --json)"
-if [ -x build/bench/bench_lexpress ]; then
-  rm -f BENCH_lexpress.json
-  if ./build/bench/bench_lexpress --json --benchmark_min_time=0.01 \
-       --benchmark_filter='MapRecord/32|SteadyState' >/dev/null; then
-    if python3 -c "import json; json.load(open('BENCH_lexpress.json'))" \
-         2>/dev/null; then
-      echo "BENCH_lexpress.json: valid JSON"
-    else
-      fail "BENCH_lexpress.json missing or unparsable"
-    fi
-  else
-    fail "bench_lexpress smoke run"
-  fi
-else
-  fail "bench_lexpress not built"
-fi
+bench_smoke bench_lexpress 'MapRecord/32|SteadyState'
 
 # -- 6d. Durability bench smoke ---------------------------------------
 note "bench_durability smoke (WAL-off vs batch fsync, --json)"
-if [ -x build/bench/bench_durability ]; then
-  rm -f BENCH_durability.json
-  if ./build/bench/bench_durability --json --benchmark_min_time=0.01 \
-       --benchmark_filter='DurableWrites/mode:(0|2)/threads:1/' \
-       >/dev/null; then
-    if python3 -c "import json; json.load(open('BENCH_durability.json'))" \
-         2>/dev/null; then
-      echo "BENCH_durability.json: valid JSON"
-    else
-      fail "BENCH_durability.json missing or unparsable"
-    fi
-  else
-    fail "bench_durability smoke run"
-  fi
-else
-  fail "bench_durability not built"
-fi
+bench_smoke bench_durability 'DurableWrites/mode:(0|2)/threads:1/'
 
 # -- 6e. servebench self-test -----------------------------------------
 note "servebench selftest (every workload, traced and untraced)"
