@@ -14,9 +14,9 @@
 #include "bench/workload.h"
 #include "core/integrated_schema.h"
 #include "ldap/ldif.h"
-#include "ldap/persistence.h"
 #include "ldap/server.h"
 #include "ldap/text_protocol.h"
+#include "storage/ldif_file.h"
 
 namespace metacomm::bench {
 namespace {
@@ -279,9 +279,9 @@ BENCHMARK(BM_SearchUnderWriterStorm)
 void BM_LdifExportImport(benchmark::State& state) {
   auto backend = BuildTree(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    std::string text = ldap::ExportLdif(*backend);
+    std::string text = storage::ExportLdif(*backend);
     Backend fresh;
-    auto loaded = ldap::ImportLdif(&fresh, text);
+    auto loaded = storage::ImportLdif(&fresh, text);
     if (!loaded.ok()) {
       state.SkipWithError(loaded.status().ToString().c_str());
       return;

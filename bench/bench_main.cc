@@ -2,7 +2,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -39,15 +38,6 @@ double ToMillis(double value, benchmark::TimeUnit unit) {
       return value * 1e3;
   }
   return value;
-}
-
-/// Nearest-rank percentile of `values` (0 when empty).
-double Percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  size_t rank = static_cast<size_t>(p * static_cast<double>(values.size()));
-  if (rank >= values.size()) rank = values.size() - 1;
-  return values[rank];
 }
 
 /// The normal console output, plus a capture of every non-aggregate
@@ -112,18 +102,10 @@ int RunBenchMain(const std::string& name, int argc, char** argv) {
   benchmark::Shutdown();
   if (!json) return 0;
 
-  std::vector<double> real_times;
-  real_times.reserve(reporter.samples().size());
-  for (const JsonCapture::Sample& sample : reporter.samples()) {
-    real_times.push_back(sample.real_ms);
-  }
-
   std::ostringstream out;
   out << "{\n";
   out << "  \"bench\": \"" << JsonEscape(name) << "\",\n";
   out << "  \"config\": \"" << JsonEscape(config) << "\",\n";
-  out << "  \"p50_ms\": " << Percentile(real_times, 0.50) << ",\n";
-  out << "  \"p99_ms\": " << Percentile(real_times, 0.99) << ",\n";
   out << "  \"runs\": [";
   bool first = true;
   for (const JsonCapture::Sample& sample : reporter.samples()) {

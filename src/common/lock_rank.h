@@ -23,8 +23,6 @@ namespace metacomm {
 ///  - kUmSync < everything from kLdapServerUsers up: Synchronize holds
 ///    sync_mutex_ across gateway quiesce, directory writes and device
 ///    fan-out (update_manager.cc).
-///  - kLdapBackendWrite < kLdapChangelog: Backend::Commit notifies
-///    replication listeners while still holding write_mutex_.
 ///  - kGatewayState < kGatewayStats: LtapGateway::EnterUpdate counts a
 ///    quiesce wait while holding the state lock.
 ///  - kGatewayState < kLeaf: Quiesce fires OnPersistentConnection
@@ -59,7 +57,6 @@ enum class LockRank : int {
   //     commit path.
   kLdapServerUsers = 300,   // LdapServer bind table.
   kLdapBackendWrite = 310,  // Backend::write_mutex_ (COW writer lock).
-  kLdapChangelog = 320,     // replication::Changelog record log.
   // kLdapBackendWrite < kStorageDurability < kStorageWal: the backend
   // journal appends a WAL record inside Commit (still holding
   // write_mutex_), and DurabilityManager holds its state lock while
@@ -85,7 +82,6 @@ enum class LockRank : int {
   kFaultInjector = 610,  // devices::FaultInjector schedule state.
 
   // --- 9xx: innermost utilities, acquirable under anything above.
-  kBlockingQueue = 900,  // Generic common::BlockingQueue instances.
   kLogging = 980,        // Logger sink lock: LOG() runs under any lock.
   kLeaf = 990,           // Ad-hoc leaf state in tests/benches.
 };

@@ -6,7 +6,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -19,19 +18,18 @@ namespace metacomm {
 
 /// Sharded MPMC FIFO: the Update Manager's parallel update queue.
 ///
-/// The single `BlockingQueue` serializes *everything* — the paper's
-/// §4.4 global update queue. But the consistency argument only needs
-/// updates to the SAME entry to apply in submission order; updates to
-/// different entries commute. This queue keeps one strict FIFO per
-/// shard and routes items by a caller-supplied key (the normalized
-/// target DN), so one worker per shard yields per-key FIFO with
-/// cross-key parallelism — the update-exchange concurrency model of
-/// Youtopia (Kot & Koch) applied to the UM.
+/// The paper's §4.4 global update queue is one FIFO that serializes
+/// *everything*. But the consistency argument only needs updates to
+/// the SAME entry to apply in submission order; updates to different
+/// entries commute. This queue keeps one strict FIFO per shard and
+/// routes items by a caller-supplied key (the normalized target DN),
+/// so one worker per shard yields per-key FIFO with cross-key
+/// parallelism — the update-exchange concurrency model of Youtopia
+/// (Kot & Koch) applied to the UM.
 ///
-/// Unlike `BlockingQueue`, `Pop` does NOT drain after `Close`: close
-/// means abort, and the owner reclaims unprocessed items via `Drain()`
-/// to release their resources (entry locks, caller promises) instead
-/// of leaking them — the shutdown story this queue exists to fix.
+/// `PopBatch` does NOT drain after `Close`: close means abort, and the
+/// owner reclaims unprocessed items via `Drain()` to release their
+/// resources (entry locks, caller promises) instead of leaking them.
 template <typename T>
 class ShardedBlockingQueue {
  public:
@@ -71,26 +69,11 @@ class ShardedBlockingQueue {
     return true;
   }
 
-  /// Blocks until `shard` has an item or the queue is closed. Returns
-  /// nullopt immediately on close — remaining items are left for
-  /// Drain(), not handed to workers.
-  std::optional<T> Pop(size_t shard) {
-    Shard& s = *shards_[shard % shards_.size()];
-    MutexLock lock(&s.mutex);
-    while (s.queue.empty() && !closed_.load(std::memory_order_acquire)) {
-      s.cv.Wait(lock);
-    }
-    if (closed_.load(std::memory_order_acquire)) return std::nullopt;
-    T item = std::move(s.queue.front());
-    s.queue.pop_front();
-    return item;
-  }
-
-  /// Blocks like Pop, then drains up to `max_n` items from `shard` in
-  /// one wakeup, preserving the shard's FIFO order. Returns an empty
-  /// vector on close — like Pop, close means abort and the remaining
-  /// items (including any the worker never saw) are left for Drain().
-  /// `max_n < 1` is treated as 1.
+  /// Blocks until `shard` has an item or the queue is closed, then
+  /// drains up to `max_n` items from `shard` in one wakeup, preserving
+  /// the shard's FIFO order. Returns an empty vector on close — close
+  /// means abort and the remaining items (including any the worker
+  /// never saw) are left for Drain(). `max_n < 1` is treated as 1.
   std::vector<T> PopBatch(size_t shard, size_t max_n) {
     max_n = std::max<size_t>(1, max_n);
     Shard& s = *shards_[shard % shards_.size()];
@@ -109,33 +92,12 @@ class ShardedBlockingQueue {
     return items;
   }
 
-  /// Non-blocking pop from `shard`; nullopt when empty or closed.
-  std::optional<T> TryPop(size_t shard) {
-    Shard& s = *shards_[shard % shards_.size()];
-    MutexLock lock(&s.mutex);
-    if (s.queue.empty() || closed_.load(std::memory_order_acquire)) {
-      return std::nullopt;
-    }
-    T item = std::move(s.queue.front());
-    s.queue.pop_front();
-    return item;
-  }
-
-  /// Non-blocking pop scanning every shard (synchronous Pump() mode).
-  std::optional<T> TryPopAny() {
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      std::optional<T> item = TryPop(i);
-      if (item.has_value()) return item;
-    }
-    return std::nullopt;
-  }
-
   /// Marks the queue closed and wakes every waiter. Pushes are
-  /// rejected and Pops return nullopt from now on.
+  /// rejected and pops return nothing from now on.
   void Close() {
     closed_.store(true, std::memory_order_release);
     for (auto& shard : shards_) {
-      // Taking the lock orders Close against in-flight Push/Pop.
+      // Taking the lock orders Close against in-flight Push/PopBatch.
       MutexLock lock(&shard->mutex);
     }
     for (auto& shard : shards_) shard->cv.NotifyAll();
@@ -173,8 +135,6 @@ class ShardedBlockingQueue {
     for (size_t i = 0; i < shards_.size(); ++i) total += Depth(i);
     return total;
   }
-
-  bool Empty() const { return Size() == 0; }
 
  private:
   struct Shard {

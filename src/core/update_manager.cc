@@ -182,30 +182,6 @@ bool UpdateManager::Enqueue(WorkItem item) {
   return true;
 }
 
-size_t UpdateManager::Pump() {
-  // Synchronous assemblies drain on whatever thread calls Pump; a
-  // per-thread interpreter keeps its scratch warm across calls.
-  thread_local lexpress::Vm vm;
-  const size_t max_batch =
-      static_cast<size_t>(std::max(1, config_.max_batch_size));
-  const uint64_t epoch = stop_epoch();
-  size_t processed = 0;
-  while (true) {
-    // Up to max_batch items per drain, like a worker's. TryPopAny
-    // empties the shards in turn, so each shard's FIFO order holds.
-    std::vector<WorkItem> batch;
-    std::optional<WorkItem> item;
-    while (batch.size() < max_batch &&
-           (item = queue_.TryPopAny()).has_value()) {
-      batch.push_back(std::move(*item));
-    }
-    if (batch.empty()) return processed;
-    processed += batch.size();
-    RecordDrain(batch);
-    ProcessBatch(batch, epoch, &vm);
-  }
-}
-
 Status UpdateManager::ProcessOne(WorkItem item, uint64_t epoch) {
   std::vector<WorkItem> batch;
   batch.push_back(std::move(item));
@@ -1044,20 +1020,15 @@ void UpdateManager::HandleFailure(const std::string& repository,
   if (callback) callback(error, update);
 }
 
-CircuitBreaker* UpdateManager::BreakerFor(
-    const std::string& repository) const {
+CircuitBreaker* UpdateManager::breaker(const std::string& repository) const {
   auto it = breakers_.find(repository);
   return it == breakers_.end() ? nullptr : it->second.get();
-}
-
-CircuitBreaker* UpdateManager::breaker(const std::string& repository) const {
-  return BreakerFor(repository);
 }
 
 std::vector<ApplyResult> UpdateManager::ApplyToRepository(
     RepositoryFilter* filter,
     const std::vector<lexpress::UpdateDescriptor>& updates) {
-  CircuitBreaker* breaker = BreakerFor(filter->name());
+  CircuitBreaker* breaker = this->breaker(filter->name());
   if (breaker != nullptr &&
       !breaker->Allow(RealClock::Get()->NowMicros())) {
     // Open circuit: no administrative conversation is even opened. The
@@ -1397,7 +1368,7 @@ Status UpdateManager::Synchronize(const std::string& device_name) {
   // to this repository unconditionally. If the device is still down,
   // the DumpAll below fails fast and the breaker re-opens on the next
   // propagation failures.
-  if (CircuitBreaker* target_breaker = BreakerFor(device_name)) {
+  if (CircuitBreaker* target_breaker = breaker(device_name)) {
     target_breaker->ForceClose();
   }
 
@@ -1524,7 +1495,7 @@ UpdateManager::Stats UpdateManager::stats() const {
   for (RepositoryFilter* filter : filters_) {
     Stats::RepositoryStats repo;
     repo.name = filter->name();
-    if (const CircuitBreaker* breaker = BreakerFor(filter->name())) {
+    if (const CircuitBreaker* breaker = this->breaker(filter->name())) {
       repo.breaker = breaker->snapshot();
     }
     repo.health = filter->Health();

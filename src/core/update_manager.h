@@ -67,7 +67,7 @@ struct UpdateManagerConfig {
   /// models the per-conversation device cost and is paid once per
   /// WAVE, not once per update.
   int64_t artificial_processing_delay_micros = 0;
-  /// Most items a worker (or Pump()) drains from a shard at once.
+  /// Most items a worker drains from its shard at once.
   /// Every drain runs the same coalesce -> waves pipeline (DESIGN.md
   /// "Batching & coalescing"), and each wave holds one conversation
   /// per repository. 1 (the default) is the paper's
@@ -174,11 +174,6 @@ class UpdateManager : public ltap::TriggerActionServer {
   /// Path A) gets Unavailable — items must not leak locks or hang
   /// callers when the queue dies.
   void Stop();
-
-  /// Drains the queue on the calling thread, max_batch_size items at a
-  /// time through the workers' pipeline (for a threaded UM that was
-  /// not started); returns how many items it processed.
-  size_t Pump();
 
   /// Direct device update intake (wired to DeviceFilter::SetDduHandler
   /// by AddDeviceFilter, public for tests and custom filters).
@@ -449,8 +444,6 @@ class UpdateManager : public ltap::TriggerActionServer {
       const std::vector<lexpress::UpdateDescriptor>& updates);
   ApplyResult ApplyToRepository(RepositoryFilter* filter,
                                 const lexpress::UpdateDescriptor& update);
-
-  CircuitBreaker* BreakerFor(const std::string& repository) const;
 
   /// Sleeps up to `micros`, waking early when Stop() is called.
   /// Returns false when the UM is stopping (the caller should bail).

@@ -20,8 +20,8 @@
 
 namespace metacomm::ldap {
 
-/// A committed change, as observed by backend listeners (the
-/// replication changelog and test instrumentation).
+/// A committed change, as observed by the journal (the WAL) and by
+/// backend listeners (benchmark and test instrumentation).
 struct ChangeRecord {
   uint64_t sequence = 0;
   UpdateOp op = UpdateOp::kAdd;
@@ -251,9 +251,9 @@ class Backend {
 
   const Schema* schema_;
 
-  /// Serializes the write path; never taken by readers. Listeners
-  /// (the replication changelog) fire under it, so everything they
-  /// lock must rank after kLdapBackendWrite.
+  /// Serializes the write path; never taken by readers. The journal's
+  /// append and the listeners fire under it, so everything they lock
+  /// must rank after kLdapBackendWrite.
   mutable Mutex write_mutex_{LockRank::kLdapBackendWrite,
                              "ldap.backend.write"};
   /// The published version. Readers copy the pointer through a cell

@@ -45,8 +45,8 @@ class LdapServer : public LdapService {
   /// Registers a bindable principal with a password.
   void AddUser(const Dn& dn, std::string password) EXCLUDES(users_mutex_);
 
-  /// Direct access to the underlying tree (used by replication, the
-  /// synchronizer's bulk loads, and tests).
+  /// Direct access to the underlying tree (used by the durability
+  /// layer, the synchronizer's bulk loads, and tests).
   Backend& backend() { return backend_; }
   const Backend& backend() const { return backend_; }
 

@@ -46,9 +46,6 @@ enum class Builtin : uint8_t {
   kIfElse,   // ifelse(pred, then, else)
 };
 
-/// Returns the lexpress-source spelling of a builtin.
-const char* BuiltinName(Builtin builtin);
-
 /// VM opcodes. The machine is a tiny stack machine over Values: rules
 /// have no loops or branches (ifelse is a strict builtin), so three
 /// opcodes suffice and programs are trivially verifiable.

@@ -19,20 +19,6 @@ Vm& FallbackVm() {
 
 }  // namespace
 
-const char* RouteActionName(RouteAction action) {
-  switch (action) {
-    case RouteAction::kAdd:
-      return "add";
-    case RouteAction::kModify:
-      return "modify";
-    case RouteAction::kDelete:
-      return "delete";
-    case RouteAction::kSkip:
-      return "skip";
-  }
-  return "?";
-}
-
 StatusOr<Mapping> Mapping::Compile(const MappingDecl& decl) {
   Mapping mapping;
   mapping.name_ = decl.name;

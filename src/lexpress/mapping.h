@@ -27,9 +27,6 @@ namespace metacomm::lexpress {
 ///      no    |   no     | Skip
 enum class RouteAction { kAdd, kModify, kDelete, kSkip };
 
-/// Returns "add"/"modify"/"delete"/"skip".
-const char* RouteActionName(RouteAction action);
-
 /// A compiled lexpress mapping from one schema to another.
 ///
 /// "Mappings are specified from a source schema to a target schema, so

@@ -2,7 +2,6 @@
 
 #include <arpa/inet.h>
 #include <errno.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <string.h>
@@ -18,15 +17,6 @@ void ScopedFd::Reset(int fd) {
 
 Status ErrnoStatus(const std::string& what) {
   return Status::Unavailable(what + ": " + ::strerror(errno));
-}
-
-Status SetNonBlocking(int fd) {
-  int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0) return ErrnoStatus("fcntl(F_GETFL)");
-  if (::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    return ErrnoStatus("fcntl(F_SETFL)");
-  }
-  return Status::Ok();
 }
 
 Status SetNoDelay(int fd) {

@@ -35,9 +35,6 @@ class ScopedFd {
   int fd_ = -1;
 };
 
-/// Puts `fd` into non-blocking mode.
-Status SetNonBlocking(int fd);
-
 /// Disables Nagle on a TCP socket — the protocol is strict
 /// request/response, so coalescing delay is pure added latency.
 Status SetNoDelay(int fd);

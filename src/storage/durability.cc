@@ -4,6 +4,7 @@
 #include <chrono>
 #include <utility>
 
+#include "common/logging.h"
 #include "storage/fs.h"
 
 namespace metacomm::storage {
@@ -67,7 +68,7 @@ DurabilityManager::RecoverBackend(ldap::Backend* backend) {
         uint64_t seq = record.change.sequence;
         // Change records are appended in commit order, so sequences
         // strictly increase. (They are not necessarily dense: replaying
-        // a rename costs two commits, so a recovered server's counter
+        // a rename can cost two commits, so a recovered server's counter
         // can run ahead of the log.)
         if (seq <= prev_seq) {
           return Status::Internal(
@@ -355,6 +356,8 @@ void DurabilityManager::CheckpointLoop(const ldap::Backend* backend) {
     }
     StatusOr<CheckpointStats> result = Checkpoint(*backend);
     if (!result.ok()) {
+      METACOMM_LOG(kWarning)
+          << "checkpoint failed: " << result.status().ToString();
       MutexLock lock(&mu_);
       last_checkpoint_error_ = result.status();
     }

@@ -5,7 +5,6 @@
 
 #include "common/strings.h"
 #include "ldap/ldif.h"
-#include "ldap/persistence.h"
 #include "storage/fs.h"
 #include "storage/ldif_file.h"
 #include "storage/record_codec.h"
@@ -120,7 +119,7 @@ StatusOr<SnapshotStore::LoadResult> SnapshotStore::LoadNewestInto(
   }
   // LDIF escape hatch.
   std::string fallback = dir_ + "/bootstrap.ldif";
-  StatusOr<LoadReport> report = LoadFromLdifFile(backend, fallback);
+  StatusOr<ImportReport> report = LoadFromLdifFile(backend, fallback);
   if (report.ok()) {
     result.from_ldif_fallback = true;
     result.entries = report->loaded;
@@ -142,12 +141,6 @@ Status SnapshotStore::Prune(int keep) const {
     METACOMM_RETURN_IF_ERROR(RemoveFile(SnapshotPath(versions[i])));
   }
   return SyncDir(dir_);
-}
-
-uint64_t SnapshotStore::NewestVersion() const {
-  StatusOr<std::vector<uint64_t>> versions = ListVersions();
-  if (!versions.ok() || versions->empty()) return 0;
-  return versions->back();
 }
 
 }  // namespace metacomm::storage

@@ -52,9 +52,6 @@ class SnapshotStore {
   /// Deletes all but the newest `keep` snapshot files.
   Status Prune(int keep) const;
 
-  /// Newest on-disk snapshot version (0 when none).
-  uint64_t NewestVersion() const;
-
  private:
   std::string SnapshotPath(uint64_t version) const;
   StatusOr<std::vector<uint64_t>> ListVersions() const;

@@ -276,6 +276,18 @@ Status UpsertEntry(ldap::Backend* backend, const ldap::Entry& image) {
   return ForceEntryToImage(backend, image);
 }
 
+/// True when the renamed `image` lacks a value of `old_rdn`: the
+/// logged rename deleted the old RDN.
+bool DeletedOldRdn(const ldap::Entry& image, const ldap::Rdn& old_rdn) {
+  for (const ldap::Ava& ava : old_rdn.avas()) {
+    auto it = image.attributes().find(ava.attribute);
+    if (it == image.attributes().end() || !it->second.HasValue(ava.value)) {
+      return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 Status ApplyChange(ldap::Backend* backend, const WalChange& change) {
@@ -298,15 +310,13 @@ Status ApplyChange(ldap::Backend* backend, const WalChange& change) {
         return Status::InvalidArgument(
             "wal rename without image or target dn");
       }
-      // Full-image replay: retire the old leaf if it still exists,
-      // then upsert the renamed image. Tolerates every partial state
-      // an interrupted earlier replay could have left.
+      // Rename through ModifyRdn, which moves the entry's children
+      // with it (Delete refuses a non-leaf), unless the old DN is
+      // already gone. Then upsert the logged image.
       if (!(change.dn == *change.new_dn) && backend->Exists(change.dn)) {
-        Status deleted = backend->Delete(change.dn);
-        if (!deleted.ok() &&
-            deleted.code() != StatusCode::kNotFound) {
-          return deleted;
-        }
+        METACOMM_RETURN_IF_ERROR(backend->ModifyRdn(
+            change.dn, change.new_dn->leaf(),
+            DeletedOldRdn(*change.entry, change.dn.leaf())));
       }
       return UpsertEntry(backend, *change.entry);
     }

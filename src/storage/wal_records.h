@@ -69,8 +69,9 @@ StatusOr<WalRecord> DecodeWalRecord(std::string_view payload);
 
 /// Replays one change into `backend`, idempotently: adds become
 /// upserts of the logged image, deletes tolerate an already-gone
-/// entry, renames tolerate either side existing. Replay must happen in
-/// sequence order on a single thread.
+/// entry, renames move the old DN's subtree if it still exists and
+/// then upsert the image. Replay must happen in sequence order on a
+/// single thread.
 Status ApplyChange(ldap::Backend* backend, const WalChange& change);
 
 }  // namespace metacomm::storage

@@ -1,83 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <memory>
 #include <set>
 #include <thread>
 #include <vector>
 
-#include "common/blocking_queue.h"
 #include "common/clock.h"
 #include "common/logging.h"
 #include "common/sharded_blocking_queue.h"
 
 namespace metacomm {
 namespace {
-
-TEST(BlockingQueueTest, FifoOrder) {
-  BlockingQueue<int> queue;
-  queue.Push(1);
-  queue.Push(2);
-  queue.Push(3);
-  EXPECT_EQ(queue.Size(), 3u);
-  EXPECT_EQ(*queue.Pop(), 1);
-  EXPECT_EQ(*queue.Pop(), 2);
-  EXPECT_EQ(*queue.Pop(), 3);
-  EXPECT_TRUE(queue.Empty());
-}
-
-TEST(BlockingQueueTest, TryPopNonBlocking) {
-  BlockingQueue<int> queue;
-  EXPECT_FALSE(queue.TryPop().has_value());
-  queue.Push(7);
-  auto item = queue.TryPop();
-  ASSERT_TRUE(item.has_value());
-  EXPECT_EQ(*item, 7);
-}
-
-TEST(BlockingQueueTest, CloseDrainsThenSignalsEnd) {
-  BlockingQueue<int> queue;
-  queue.Push(1);
-  queue.Close();
-  EXPECT_FALSE(queue.Push(2));  // Dropped after close.
-  EXPECT_EQ(*queue.Pop(), 1);  // Drains existing items.
-  EXPECT_FALSE(queue.Pop().has_value());
-  EXPECT_TRUE(queue.closed());
-}
-
-TEST(BlockingQueueTest, PopBlocksUntilPush) {
-  BlockingQueue<int> queue;
-  std::atomic<bool> got{false};
-  std::thread consumer([&queue, &got] {
-    auto item = queue.Pop();
-    EXPECT_TRUE(item.has_value());
-    EXPECT_EQ(*item, 42);
-    got.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_FALSE(got.load());
-  queue.Push(42);
-  consumer.join();
-  EXPECT_TRUE(got.load());
-}
-
-TEST(BlockingQueueTest, CloseWakesBlockedConsumer) {
-  BlockingQueue<int> queue;
-  std::thread consumer([&queue] {
-    EXPECT_FALSE(queue.Pop().has_value());
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  queue.Close();
-  consumer.join();
-}
-
-TEST(BlockingQueueTest, MoveOnlyItems) {
-  BlockingQueue<std::unique_ptr<int>> queue;
-  queue.Push(std::make_unique<int>(9));
-  auto item = queue.Pop();
-  ASSERT_TRUE(item.has_value());
-  EXPECT_EQ(**item, 9);
-}
 
 TEST(ShardedBlockingQueueTest, PerShardFifoOrder) {
   ShardedBlockingQueue<int> queue(4);
@@ -86,10 +19,22 @@ TEST(ShardedBlockingQueueTest, PerShardFifoOrder) {
   queue.Push(3, 30);
   EXPECT_EQ(queue.Size(), 3u);
   EXPECT_EQ(queue.Depth(1), 2u);
-  EXPECT_EQ(*queue.Pop(1), 10);
-  EXPECT_EQ(*queue.Pop(1), 11);
-  EXPECT_EQ(*queue.Pop(3), 30);
-  EXPECT_TRUE(queue.Empty());
+  EXPECT_EQ(queue.PopBatch(1, 1), std::vector<int>{10});
+  EXPECT_EQ(queue.PopBatch(1, 1), std::vector<int>{11});
+  EXPECT_EQ(queue.PopBatch(3, 1), std::vector<int>{30});
+  EXPECT_EQ(queue.Size(), 0u);
+}
+
+TEST(ShardedBlockingQueueTest, PopBatchTakesAtMostMaxN) {
+  ShardedBlockingQueue<int> queue(2);
+  queue.Push(0, 1);
+  queue.Push(0, 2);
+  queue.Push(0, 3);
+  EXPECT_EQ(queue.PopBatch(0, 2), (std::vector<int>{1, 2}));
+  queue.Push(0, 4);
+  // A max_n of 0 acts as 1: a worker never wakes to take nothing.
+  EXPECT_EQ(queue.PopBatch(0, 0), std::vector<int>{3});
+  EXPECT_EQ(queue.PopBatch(0, 16), std::vector<int>{4});
 }
 
 TEST(ShardedBlockingQueueTest, EqualKeysRouteToSameShard) {
@@ -107,21 +52,21 @@ TEST(ShardedBlockingQueueTest, RoundRobinCoversAllShards) {
 }
 
 TEST(ShardedBlockingQueueTest, CloseAbortsInsteadOfDraining) {
-  // Unlike BlockingQueue, close means abort: Pop must NOT hand out the
-  // remaining items — the owner reclaims them via Drain() to release
-  // their locks and fail their promises.
+  // Close means abort: PopBatch must NOT hand out the remaining items
+  // — the owner reclaims them via Drain() to release their locks and
+  // fail their promises.
   ShardedBlockingQueue<int> queue(2);
   queue.Push(0, 1);
   queue.Push(1, 2);
   queue.Close();
   EXPECT_FALSE(queue.Push(0, 3));
-  EXPECT_FALSE(queue.Pop(0).has_value());
-  EXPECT_FALSE(queue.TryPop(1).has_value());
+  EXPECT_TRUE(queue.PopBatch(0, 1).empty());
+  EXPECT_TRUE(queue.PopBatch(1, 16).empty());
   std::vector<int> drained = queue.Drain();
   ASSERT_EQ(drained.size(), 2u);
   EXPECT_EQ(drained[0], 1);
   EXPECT_EQ(drained[1], 2);
-  EXPECT_TRUE(queue.Empty());
+  EXPECT_EQ(queue.Size(), 0u);
 }
 
 TEST(ShardedBlockingQueueTest, CloseWakesAllBlockedWorkers) {
@@ -129,7 +74,7 @@ TEST(ShardedBlockingQueueTest, CloseWakesAllBlockedWorkers) {
   std::vector<std::thread> workers;
   for (size_t shard = 0; shard < queue.shard_count(); ++shard) {
     workers.emplace_back([&queue, shard] {
-      EXPECT_FALSE(queue.Pop(shard).has_value());
+      EXPECT_TRUE(queue.PopBatch(shard, 1).empty());
     });
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -141,9 +86,7 @@ TEST(ShardedBlockingQueueTest, PopBlocksUntilPushOnOwnShard) {
   ShardedBlockingQueue<int> queue(2);
   std::atomic<bool> got{false};
   std::thread consumer([&queue, &got] {
-    auto item = queue.Pop(0);
-    ASSERT_TRUE(item.has_value());
-    EXPECT_EQ(*item, 42);
+    EXPECT_EQ(queue.PopBatch(0, 16), std::vector<int>{42});
     got.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -152,16 +95,7 @@ TEST(ShardedBlockingQueueTest, PopBlocksUntilPushOnOwnShard) {
   EXPECT_FALSE(got.load());
   queue.Push(0, 42);
   consumer.join();
-  EXPECT_EQ(*queue.TryPopAny(), 7);
-}
-
-TEST(ShardedBlockingQueueTest, TryPopAnyScansShards) {
-  ShardedBlockingQueue<std::unique_ptr<int>> queue(4);
-  EXPECT_FALSE(queue.TryPopAny().has_value());
-  queue.Push(2, std::make_unique<int>(9));
-  auto item = queue.TryPopAny();
-  ASSERT_TRUE(item.has_value());
-  EXPECT_EQ(**item, 9);
+  EXPECT_EQ(queue.PopBatch(1, 16), std::vector<int>{7});
 }
 
 TEST(ClockTest, RealClockIsMonotonic) {

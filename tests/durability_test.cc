@@ -8,12 +8,17 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
+#include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/logging.h"
 #include "core/metacomm.h"
-#include "ldap/persistence.h"
 #include "storage/fs.h"
+#include "storage/ldif_file.h"
 
 namespace metacomm::storage {
 namespace {
@@ -25,6 +30,20 @@ ldap::Entry Person(const std::string& dn_text, const std::string& cn) {
   entry.SetOne("cn", cn);
   entry.SetOne("sn", "X");
   return entry;
+}
+
+/// o=Lucent with ou=People holding cn=A: an entry with a child.
+void AddSubtree(ldap::Backend* backend) {
+  ldap::Entry suffix(*ldap::Dn::Parse("o=Lucent"));
+  suffix.AddObjectClass("top");
+  suffix.SetOne("o", "Lucent");
+  ASSERT_TRUE(backend->Add(suffix).ok());
+  ldap::Entry people(*ldap::Dn::Parse("ou=People,o=Lucent"));
+  people.AddObjectClass("top");
+  people.AddObjectClass("organizationalUnit");
+  people.SetOne("ou", "People");
+  ASSERT_TRUE(backend->Add(people).ok());
+  ASSERT_TRUE(backend->Add(Person("cn=A,ou=People,o=Lucent", "A")).ok());
 }
 
 lexpress::UpdateDescriptor DeviceAdd(const std::string& extension) {
@@ -105,14 +124,14 @@ TEST_F(DurabilityTest, PureWalReplayRestoresExactExport) {
                         {"+1 908 582 4567"}}})
             .ok());
     ASSERT_TRUE(backend.Delete(*ldap::Dn::Parse("cn=B,o=Lucent")).ok());
-    expected = ldap::ExportLdif(backend);
+    expected = ExportLdif(backend);
     backend.ClearJournal();  // "Crash": no checkpoint ever ran.
   }
   ldap::Backend recovered;
   DurabilityManager::RecoveryStats stats;
   auto mgr = OpenAttached(&recovered, &stats);
   ASSERT_NE(mgr, nullptr);
-  EXPECT_EQ(ldap::ExportLdif(recovered), expected);
+  EXPECT_EQ(ExportLdif(recovered), expected);
   EXPECT_EQ(stats.snapshot_version, 0u);
   EXPECT_EQ(stats.changes_replayed, 5u);
   recovered.ClearJournal();
@@ -136,19 +155,89 @@ TEST_F(DurabilityTest, CheckpointPlusSuffixRestoresExactExport) {
                     .ModifyRdn(*ldap::Dn::Parse("cn=C,o=Lucent"),
                                ldap::Rdn("cn", "C2"), true)
                     .ok());
-    expected = ldap::ExportLdif(backend);
+    expected = ExportLdif(backend);
     backend.ClearJournal();
   }
   ldap::Backend recovered;
   DurabilityManager::RecoveryStats stats;
   auto mgr = OpenAttached(&recovered, &stats);
   ASSERT_NE(mgr, nullptr);
-  EXPECT_EQ(ldap::ExportLdif(recovered), expected);
+  EXPECT_EQ(ExportLdif(recovered), expected);
   EXPECT_EQ(stats.snapshot_version, checkpoint_version);
   EXPECT_EQ(stats.snapshot_entries, 3u);
   EXPECT_GT(stats.changes_replayed, 0u);
   EXPECT_EQ(stats.changes_skipped, 0u);  // Old segments were pruned.
   recovered.ClearJournal();
+}
+
+TEST_F(DurabilityTest, SubtreeRenameRestoresExactExport) {
+  // Renaming an entry with children moves the whole subtree; replay
+  // must too, rather than try to delete a non-leaf.
+  std::string expected;
+  {
+    ldap::Backend backend;
+    auto mgr = OpenAttached(&backend);
+    ASSERT_NE(mgr, nullptr);
+    AddSubtree(&backend);
+    ASSERT_TRUE(backend
+                    .ModifyRdn(*ldap::Dn::Parse("ou=People,o=Lucent"),
+                               ldap::Rdn("ou", "Staff"), true)
+                    .ok());
+    expected = ExportLdif(backend);
+    backend.ClearJournal();  // "Crash" before any checkpoint.
+  }
+  ldap::Backend recovered;
+  auto mgr = OpenAttached(&recovered);
+  ASSERT_NE(mgr, nullptr);
+  EXPECT_EQ(ExportLdif(recovered), expected);
+  EXPECT_TRUE(recovered.Exists(*ldap::Dn::Parse("cn=A,ou=Staff,o=Lucent")));
+  recovered.ClearJournal();
+}
+
+TEST_F(DurabilityTest, FailedBackgroundCheckpointIsLogged) {
+  config_.checkpoint_interval_micros = 20000;
+  ldap::Backend backend;
+  auto mgr = OpenAttached(&backend);
+  ASSERT_NE(mgr, nullptr);
+  AddTree(&backend);
+  // A directory where the snapshot's temporary file goes makes every
+  // attempt fail (EISDIR), whatever the process's privileges.
+  char name[64];
+  std::snprintf(name, sizeof(name), "snapshot-%020llu.mcsnap.tmp",
+                static_cast<unsigned long long>(
+                    backend.GetSnapshot()->version));
+  const std::string planted = config_.data_dir + "/" + name;
+  ASSERT_TRUE(MakeDirs(planted).ok());
+
+  Logger& logger = Logger::Get();
+  const LogLevel old_level = logger.min_level();
+  // The sink runs on the checkpoint thread; the lines are read only
+  // after Stop() has joined it.
+  std::vector<std::string> warnings;
+  logger.set_sink([&warnings](LogLevel level, const std::string& line) {
+    if (level == LogLevel::kWarning) warnings.push_back(line);
+  });
+  logger.set_min_level(LogLevel::kWarning);
+  mgr->StartCheckpointThread(&backend);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (mgr->last_checkpoint_error().ok() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  mgr->Stop();
+  logger.set_sink(nullptr);
+  logger.set_min_level(old_level);
+  std::filesystem::remove(planted);  // Wipe() unlinks files only.
+
+  Status error = mgr->last_checkpoint_error();
+  ASSERT_FALSE(error.ok());
+  ASSERT_FALSE(warnings.empty());
+  EXPECT_NE(warnings.front().find("checkpoint"), std::string::npos)
+      << warnings.front();
+  EXPECT_NE(warnings.front().find(error.message()), std::string::npos)
+      << warnings.front();
+  backend.ClearJournal();
 }
 
 TEST_F(DurabilityTest, RepeatedCheckpointsPruneWalSegments) {
@@ -256,6 +345,104 @@ TEST_F(DurabilityTest, MissingWalHistoryIsRefused) {
   auto stats = (*mgr)->RecoverBackend(&recovered);
   ASSERT_FALSE(stats.ok());
   EXPECT_EQ(stats.status().code(), StatusCode::kInternal);
+}
+
+/// Appends every change `source` commits to `log`, encoded as the
+/// journal logs it. `log` must outlive the source's writes.
+void RecordChanges(ldap::Backend* source, std::vector<std::string>* log) {
+  source->AddListener([log](const ldap::ChangeRecord& record) {
+    log->push_back(EncodeChange(record));
+  });
+}
+
+WalChange Decoded(const std::string& payload) {
+  StatusOr<WalRecord> record = DecodeWalRecord(payload);
+  EXPECT_TRUE(record.ok()) << record.status();
+  return record.ok() ? record->change : WalChange{};
+}
+
+TEST(WalReplayTest, EachChangeReplaysAndReappliesAsNoOp) {
+  // Replays a scripted history into a replica one change at a time:
+  // the first apply must reproduce the source, and a second apply —
+  // to a state that already reflects the change — must leave it
+  // unchanged.
+  std::vector<std::string> log;
+  ldap::Backend source;
+  RecordChanges(&source, &log);
+  ldap::Backend replica;
+  size_t applied = 0;
+  auto replay = [&](const char* what) {
+    for (; applied < log.size(); ++applied) {
+      WalChange change = Decoded(log[applied]);
+      ASSERT_TRUE(ApplyChange(&replica, change).ok()) << what;
+      const std::string once = ExportLdif(replica);
+      ASSERT_TRUE(ApplyChange(&replica, change).ok()) << what << " again";
+      EXPECT_EQ(ExportLdif(replica), once) << what;
+    }
+    EXPECT_EQ(ExportLdif(replica), ExportLdif(source)) << what;
+  };
+
+  AddSubtree(&source);
+  replay("add");
+
+  ASSERT_TRUE(source
+                  .Modify(*ldap::Dn::Parse("cn=A,ou=People,o=Lucent"),
+                          {ldap::Modification{
+                              ldap::Modification::Type::kReplace,
+                              "telephoneNumber",
+                              {"+1 908 582 4567"}}})
+                  .ok());
+  replay("modify");
+
+  ASSERT_TRUE(source
+                  .ModifyRdn(*ldap::Dn::Parse("cn=A,ou=People,o=Lucent"),
+                             ldap::Rdn("cn", "A2"),
+                             /*delete_old_rdn=*/false)
+                  .ok());
+  replay("leaf rename keeping the old RDN value");
+
+  ASSERT_TRUE(source
+                  .ModifyRdn(*ldap::Dn::Parse("ou=People,o=Lucent"),
+                             ldap::Rdn("ou", "Staff"),
+                             /*delete_old_rdn=*/true)
+                  .ok());
+  replay("subtree rename");
+
+  ASSERT_TRUE(source.Delete(*ldap::Dn::Parse("cn=A2,ou=Staff,o=Lucent")).ok());
+  replay("delete");
+}
+
+TEST(WalReplayTest, MissingTargetsConverge) {
+  std::vector<std::string> log;
+  ldap::Backend source;
+  RecordChanges(&source, &log);
+  ldap::Entry suffix(*ldap::Dn::Parse("o=Lucent"));
+  suffix.AddObjectClass("top");
+  suffix.SetOne("o", "Lucent");
+  ASSERT_TRUE(source.Add(suffix).ok());
+  ASSERT_TRUE(source.Add(Person("cn=A,o=Lucent", "A")).ok());
+  ASSERT_TRUE(source
+                  .Modify(*ldap::Dn::Parse("cn=A,o=Lucent"),
+                          {ldap::Modification{
+                              ldap::Modification::Type::kReplace,
+                              "sn",
+                              {"Z"}}})
+                  .ok());
+  ASSERT_EQ(log.size(), 3u);
+
+  // The replica never saw cn=A's add: the modify creates the entry
+  // from its logged image.
+  ldap::Backend replica;
+  ASSERT_TRUE(ApplyChange(&replica, Decoded(log[0])).ok());
+  ASSERT_TRUE(ApplyChange(&replica, Decoded(log[2])).ok());
+  EXPECT_EQ(ExportLdif(replica), ExportLdif(source));
+
+  // A delete of an entry the replica does not hold is already done.
+  ASSERT_TRUE(source.Delete(*ldap::Dn::Parse("cn=A,o=Lucent")).ok());
+  ldap::Backend bare;
+  ASSERT_TRUE(ApplyChange(&bare, Decoded(log[0])).ok());
+  ASSERT_TRUE(ApplyChange(&bare, Decoded(log[3])).ok());
+  EXPECT_EQ(ExportLdif(bare), ExportLdif(source));
 }
 
 TEST_F(DurabilityTest, SystemRestartServesRecoveredEntries) {

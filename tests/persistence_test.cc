@@ -1,11 +1,10 @@
-#include "ldap/persistence.h"
+#include "storage/ldif_file.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 
 #include "core/metacomm.h"
-#include "storage/ldif_file.h"
 
 namespace metacomm::ldap {
 namespace {
@@ -39,9 +38,9 @@ class PersistenceTest : public ::testing::Test {
 };
 
 TEST_F(PersistenceTest, ExportImportRoundTrip) {
-  std::string text = ExportLdif(backend_);
+  std::string text = storage::ExportLdif(backend_);
   Backend fresh;
-  auto loaded = ImportLdif(&fresh, text);
+  auto loaded = storage::ImportLdif(&fresh, text);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded->loaded, 3u);
   EXPECT_EQ(loaded->skipped_duplicates, 0u);
@@ -62,8 +61,8 @@ TEST_F(PersistenceTest, FileRoundTrip) {
 }
 
 TEST_F(PersistenceTest, ImportIsIdempotent) {
-  std::string text = ExportLdif(backend_);
-  auto reloaded = ImportLdif(&backend_, text);
+  std::string text = storage::ExportLdif(backend_);
+  auto reloaded = storage::ImportLdif(&backend_, text);
   ASSERT_TRUE(reloaded.ok());
   // Everything already present — and visibly so, instead of an
   // indistinguishable "0 loaded".
@@ -77,7 +76,7 @@ TEST_F(PersistenceTest, ChangeRecordsCountedAsRejected) {
   // A changetype record no longer poisons the whole file: the content
   // records around it load, and the report says one was passed over.
   Backend fresh;
-  auto loaded = ImportLdif(
+  auto loaded = storage::ImportLdif(
       &fresh,
       "dn: o=Lucent\nobjectClass: top\no: Lucent\n\n"
       "dn: cn=X,o=Lucent\nchangetype: delete\n\n"
@@ -93,7 +92,7 @@ TEST_F(PersistenceTest, BackendRejectionsCounted) {
   // An orphan (parent never loads) is rejected and counted; the rest
   // of the file still loads.
   Backend fresh;
-  auto loaded = ImportLdif(
+  auto loaded = storage::ImportLdif(
       &fresh,
       "dn: o=Lucent\nobjectClass: top\no: Lucent\n\n"
       "dn: cn=Deep,ou=Nowhere,o=Lucent\nobjectClass: top\n"

@@ -58,6 +58,9 @@
 #      diffed against the committed BENCH_*.json baselines (>20%
 #      slowdowns flagged).
 #      Non-fatal — smoke-length runs are too noisy to gate on.
+#   8. src/ line count: tools/src_lines.sh prints the .h/.cc lines
+#      under src/ at HEAD and in the working tree, and the net change
+#      (the figure every change reports). Informational, never fails.
 set -u
 
 cd "$(dirname "$0")/.."
@@ -252,6 +255,10 @@ else
        "baselines (informational; smoke runs are noisy, not failing" \
        "the gate)"
 fi
+
+# -- 8. src/ line count (informational) ------------------------------
+note "src/ line count vs HEAD (informational)"
+tools/src_lines.sh || echo "WARN: src_lines.sh failed (informational)"
 
 # --------------------------------------------------------------------
 echo
