@@ -276,6 +276,128 @@ BENCHMARK(BM_SearchUnderWriterStorm)
     ->UseRealTime()
     ->MeasureProcessCPUTime();
 
+/// The person entry a synchronous AddPerson leaves once the Update
+/// Manager has written back the device classes and the §5.5 backfill:
+/// 11 attributes, 7 object classes.
+Entry ProvisionedPerson(const Person& person, size_t index) {
+  Entry entry(*Dn::Parse(person.dn));
+  entry.Set("objectClass",
+            {"top", "person", "organizationalPerson", "inetOrgPerson",
+             "definityUser", "mpUser", "metacommObject"});
+  entry.SetOne("cn", person.cn);
+  entry.SetOne("sn", person.extension);
+  entry.SetOne("givenName", person.cn.substr(0, person.cn.find(' ')));
+  entry.SetOne("telephoneNumber", "+1 908 582 " + person.extension);
+  entry.SetOne("employeeType", "standard");
+  entry.SetOne("DefinityExtension", person.extension);
+  entry.SetOne("DefinityCos", "1");
+  entry.SetOne("MpMailboxNumber", person.extension);
+  entry.SetOne("MpSubscriberId", "SUB" + std::to_string(100000 + index));
+  entry.SetOne("LastUpdater", "ldap");
+  return entry;
+}
+
+enum class WriteOp { kAdd, kAuxModify, kRoomReplace, kDelete };
+
+/// The write-back's shape: one more objectClass value plus 2 of the
+/// auxiliary class's attributes. `add` false builds the inverse.
+std::vector<ldap::Modification> AuxClassMods(const Entry& person,
+                                             bool add) {
+  using Type = ldap::Modification::Type;
+  Type type = add ? Type::kAdd : Type::kDelete;
+  return {{type, "objectClass", {"mpUser"}},
+          {type, "MpMailboxNumber", person.GetAll("MpMailboxNumber")},
+          {type, "MpSubscriberId", person.GetAll("MpSubscriberId")}};
+}
+
+/// One bare Backend write under the integrated schema, on a directory
+/// of state.range(0) provisioned people: the directory-commit half of
+/// an LDAP update, with no LTAP, Update Manager or WAL around it.
+/// Every iteration times one operation (manual time) and then undoes
+/// it untimed, so the directory keeps its size and shape:
+///  * add — a new person; undone by a Delete;
+///  * aux_modify — the Update Manager's closure write-back (an
+///    auxiliary class plus 2 attributes), after an untimed removal;
+///  * room_replace — a Replace of roomNumber, servebench's room change;
+///  * delete — a person; undone by an Add.
+void BM_BackendWrite(benchmark::State& state, WriteOp op) {
+  static const ldap::Schema schema = core::BuildIntegratedSchema();
+  const size_t population = static_cast<size_t>(state.range(0));
+  constexpr size_t kSpares = 64;  // People outside the tree, for add.
+  WorkloadGenerator gen(61);
+  std::vector<Person> people = gen.People(population + kSpares);
+  std::vector<Entry> entries;
+  entries.reserve(people.size());
+  for (size_t i = 0; i < people.size(); ++i) {
+    entries.push_back(ProvisionedPerson(people[i], i));
+  }
+  Backend backend(&schema);
+  Entry suffix(*Dn::Parse("o=Lucent"));
+  suffix.Set("objectClass", {"top", "organization"});
+  suffix.SetOne("o", "Lucent");
+  Entry ou(*Dn::Parse("ou=People,o=Lucent"));
+  ou.Set("objectClass", {"top", "organizationalUnit"});
+  ou.SetOne("ou", "People");
+  bool ok = backend.Add(suffix).ok() && backend.Add(ou).ok();
+  for (size_t i = 0; ok && i < population; ++i) {
+    ok = backend.Add(entries[i]).ok();
+  }
+  if (!ok) {
+    state.SkipWithError("populating the directory failed");
+    return;
+  }
+
+  uint64_t k = 0;
+  for (auto _ : state) {
+    // A stride coprime to the population spreads consecutive writes
+    // over the tree instead of walking it in order.
+    const Entry& target = entries[(k * 7919) % population];
+    const Entry& spare = entries[population + k % kSpares];
+    Status undo_first = Status::Ok();
+    if (op == WriteOp::kAuxModify) {
+      undo_first = backend.Modify(target.dn(), AuxClassMods(target, false));
+    }
+    auto start = std::chrono::steady_clock::now();
+    Status status;
+    switch (op) {
+      case WriteOp::kAdd:
+        status = backend.Add(spare);
+        break;
+      case WriteOp::kAuxModify:
+        status = backend.Modify(target.dn(), AuxClassMods(target, true));
+        break;
+      case WriteOp::kRoomReplace:
+        status = backend.Modify(
+            target.dn(), {{ldap::Modification::Type::kReplace, "roomNumber",
+                           {"R" + std::to_string(k % 997)}}});
+        break;
+      case WriteOp::kDelete:
+        status = backend.Delete(target.dn());
+        break;
+    }
+    auto stop = std::chrono::steady_clock::now();
+    state.SetIterationTime(std::chrono::duration<double>(stop - start).count());
+    Status undo = Status::Ok();
+    if (op == WriteOp::kAdd) undo = backend.Delete(spare.dn());
+    if (op == WriteOp::kDelete) undo = backend.Add(target);
+    if (!undo_first.ok() || !status.ok() || !undo.ok()) {
+      state.SkipWithError("backend write failed");
+      break;
+    }
+    ++k;
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["entries"] = static_cast<double>(population);
+}
+BENCHMARK_CAPTURE(BM_BackendWrite, add, WriteOp::kAdd)
+    ->Arg(1000)->Arg(8000)->UseManualTime()->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_BackendWrite, aux_modify, WriteOp::kAuxModify)
+    ->Arg(1000)->Arg(8000)->UseManualTime()->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_BackendWrite, room_replace, WriteOp::kRoomReplace)
+    ->Arg(1000)->Arg(8000)->UseManualTime()->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_BackendWrite, delete, WriteOp::kDelete)
+    ->Arg(1000)->Arg(8000)->UseManualTime()->Unit(benchmark::kMicrosecond);
+
 void BM_LdifExportImport(benchmark::State& state) {
   auto backend = BuildTree(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {

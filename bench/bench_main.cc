@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -106,6 +107,16 @@ int RunBenchMain(const std::string& name, int argc, char** argv) {
   out << "{\n";
   out << "  \"bench\": \"" << JsonEscape(name) << "\",\n";
   out << "  \"config\": \"" << JsonEscape(config) << "\",\n";
+  // What built and ran the numbers: --compare warns when a baseline's
+  // build differs from the fresh run's.
+  out << "  \"build_type\": \"" << JsonEscape(METACOMM_BUILD_TYPE)
+      << "\",\n";
+#ifdef METACOMM_LOCKDEP
+  out << "  \"lockdep\": true,\n";
+#else
+  out << "  \"lockdep\": false,\n";
+#endif
+  out << "  \"nproc\": " << std::thread::hardware_concurrency() << ",\n";
   out << "  \"runs\": [";
   bool first = true;
   for (const JsonCapture::Sample& sample : reporter.samples()) {

@@ -8,8 +8,9 @@ namespace metacomm::bench {
 /// Shared main() for every bench binary: google-benchmark plus the
 /// repo-local `--json` flag. With --json, a machine-readable summary
 /// is written to BENCH_<name>.json in the current working directory:
-/// per-run time and ops/sec (with every user counter), p50/p99 of the
-/// per-iteration wall time across runs, and the invocation arguments.
+/// per-run time and ops/sec (with every user counter), the invocation
+/// arguments, and what built and ran it (CMake build type, whether
+/// lockdep was compiled in, and the hardware thread count).
 /// tools/bench_report.sh drives this across all benches.
 int RunBenchMain(const std::string& name, int argc, char** argv);
 

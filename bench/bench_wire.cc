@@ -1,15 +1,20 @@
 // End-to-end wire benchmarks: the full MetaComm deployment (LDAP
 // server + LTAP gateway + threaded Update Manager + device filters)
-// behind the epoll TcpServer, driven over N concurrent persistent TCP
-// connections by in-process TcpClients. This is the socket-level
-// counterpart of bench_gateway_vs_library: the WBA admin storm and the
-// interactive Search mix now pay real framing, syscalls and loopback
-// RTTs, so the numbers here are what tools/metacomm_serve can actually
-// sustain.
+// behind the epoll TcpServer, reached over real loopback sockets by
+// in-process TcpClients. This is the socket-level counterpart of
+// bench_gateway_vs_library: the WBA admin storm and the interactive
+// Search mix pay real framing, syscalls and loopback RTTs.
+//
+// The load is closed-loop: kDriverThreads threads each issue one
+// request at a time and wait for its reply, so at most kDriverThreads
+// requests are in flight however many connections are open. The
+// argument (100 or 1000) is the number of open persistent
+// connections the drivers rotate over, which exercises the server's
+// connection bookkeeping, not its concurrency. Each point reports
+// `connections` and `in_flight` side by side.
 //
 // BM_WireAdminStorm reports end-to-end admin items/sec; BM_WireSearch
-// reports Search p50/p99 over the wire. Both run at 1000 persistent
-// connections (and a 100-connection point for contrast).
+// reports Search p50/p99 over the wire.
 
 #include <benchmark/benchmark.h>
 
@@ -41,6 +46,7 @@ using ldap::TextProtocolHandler;
 constexpr size_t kPopulation = 1000;
 // Ops issued per timed iteration, spread over the worker threads.
 constexpr size_t kWaveOps = 256;
+// Closed-loop driver threads, one request each in flight at a time.
 constexpr int kDriverThreads = 4;
 
 /// One live wire deployment: populated system, TcpServer on an
@@ -176,7 +182,8 @@ bool DriveWave(Wire* wire, uint64_t* seqs,
 
 /// The paper's WBA admin storm over real sockets: ADD/MODIFY person
 /// entries (each fanning out through the UM to the PBX and MP filters)
-/// across state.range(0) persistent connections.
+/// from kDriverThreads closed-loop drivers, rotating over
+/// state.range(0) open connections.
 void BM_WireAdminStorm(benchmark::State& state) {
   Wire* wire = GetWire(static_cast<size_t>(state.range(0)));
   uint64_t seqs[kDriverThreads] = {};
@@ -200,6 +207,7 @@ void BM_WireAdminStorm(benchmark::State& state) {
   state.counters["admin_p99_us"] = LatencyPercentile(all, 0.99);
   state.counters["connections"] =
       static_cast<double>(wire->conns.size());
+  state.counters["in_flight"] = kDriverThreads;
 }
 BENCHMARK(BM_WireAdminStorm)
     ->Arg(100)
@@ -207,9 +215,9 @@ BENCHMARK(BM_WireAdminStorm)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-/// Interactive lookups (the LEXPRESS-style number search) over the
-/// same persistent connections — the latency a caller sees while the
-/// deployment idles between storms.
+/// Interactive lookups (the LEXPRESS-style number search) from
+/// kDriverThreads closed-loop drivers over the same open connections —
+/// the latency a caller sees while the deployment idles between storms.
 void BM_WireSearch(benchmark::State& state) {
   Wire* wire = GetWire(static_cast<size_t>(state.range(0)));
   WorkloadGenerator gen(17);
@@ -240,6 +248,7 @@ void BM_WireSearch(benchmark::State& state) {
   state.counters["search_p99_us"] = LatencyPercentile(all, 0.99);
   state.counters["connections"] =
       static_cast<double>(wire->conns.size());
+  state.counters["in_flight"] = kDriverThreads;
 }
 BENCHMARK(BM_WireSearch)
     ->Arg(100)

@@ -53,22 +53,17 @@ class PersistentMap {
     return nullptr;
   }
 
-  /// Insert-or-assign; returns the derived map.
+  /// Insert-or-assign; returns the derived map. Copies only the
+  /// search path down to where the new node belongs.
   PersistentMap Insert(std::string_view key, V value) const {
-    NodePtr less, equal, greater;
-    Split(root_, key, &less, &equal, &greater);
-    NodePtr fresh = std::make_shared<Node>(
-        Node{std::string(key), std::move(value), Priority(key), 1, nullptr,
-             nullptr});
-    return PersistentMap(Merge(Merge(less, fresh), greater));
+    return PersistentMap(
+        InsertAt(root_, key, Priority(key), std::move(value)));
   }
 
-  /// Removes `key` if present; returns the derived map.
+  /// Removes `key` if present; returns the derived map. Copies only the
+  /// search path and the spines the erased node's children merge on.
   PersistentMap Erase(std::string_view key) const {
-    NodePtr less, equal, greater;
-    Split(root_, key, &less, &equal, &greater);
-    if (equal == nullptr) return *this;
-    return PersistentMap(Merge(less, greater));
+    return PersistentMap(EraseAt(root_, key));
   }
 
   /// In-order traversal. `fn(key, value)` returns false to stop early;
@@ -122,26 +117,77 @@ class PersistentMap {
              std::move(right)});
   }
 
-  /// Partitions `node` into keys < `key`, the node == `key` (if any),
+  /// True when a node (`priority`, `key`) sits above `node`: higher
+  /// priority wins, and on a tie the smaller key. Insert and Merge
+  /// share this one rule, so the shape depends only on the key set.
+  static bool Above(uint64_t priority, std::string_view key,
+                    const Node& node) {
+    return priority > node.priority ||
+           (priority == node.priority && key < node.key);
+  }
+
+  static NodePtr InsertAt(const NodePtr& node, std::string_view key,
+                          uint64_t priority, V&& value) {
+    if (node == nullptr || Above(priority, key, *node)) {
+      // `key` is absent below here (an equal key would share its
+      // priority, so it could not sit under `node`).
+      NodePtr less, greater;
+      Split(node, key, &less, &greater);
+      size_t count = 1 + Count(less) + Count(greater);
+      return std::make_shared<Node>(Node{std::string(key), std::move(value),
+                                         priority, count, std::move(less),
+                                         std::move(greater)});
+    }
+    if (key < node->key) {
+      return WithChildren(node, InsertAt(node->left, key, priority,
+                                         std::move(value)),
+                          node->right);
+    }
+    if (node->key < key) {
+      return WithChildren(node, node->left,
+                          InsertAt(node->right, key, priority,
+                                   std::move(value)));
+    }
+    return std::make_shared<Node>(Node{node->key, std::move(value),
+                                       node->priority, node->count,
+                                       node->left, node->right});
+  }
+
+  /// Returns `node` itself when `key` is absent, so a miss copies
+  /// nothing.
+  static NodePtr EraseAt(const NodePtr& node, std::string_view key) {
+    if (node == nullptr) return nullptr;
+    if (key < node->key) {
+      NodePtr left = EraseAt(node->left, key);
+      return left == node->left ? node
+                                : WithChildren(node, std::move(left),
+                                               node->right);
+    }
+    if (node->key < key) {
+      NodePtr right = EraseAt(node->right, key);
+      return right == node->right ? node
+                                  : WithChildren(node, node->left,
+                                                 std::move(right));
+    }
+    return Merge(node->left, node->right);
+  }
+
+  /// Partitions `node`, which must not hold `key`, into keys < `key`
   /// and keys > `key`, copying only the nodes on the search path.
   static void Split(const NodePtr& node, std::string_view key,
-                    NodePtr* less, NodePtr* equal, NodePtr* greater) {
+                    NodePtr* less, NodePtr* greater) {
     if (node == nullptr) {
-      *less = *equal = *greater = nullptr;
+      *less = *greater = nullptr;
       return;
     }
     if (key < node->key) {
       NodePtr sub_greater;
-      Split(node->left, key, less, equal, &sub_greater);
+      Split(node->left, key, less, &sub_greater);
       *greater = WithChildren(node, std::move(sub_greater), node->right);
-    } else if (node->key < key) {
-      NodePtr sub_less;
-      Split(node->right, key, &sub_less, equal, greater);
-      *less = WithChildren(node, node->left, std::move(sub_less));
     } else {
-      *less = node->left;
-      *equal = node;
-      *greater = node->right;
+      NodePtr sub_less;
+      Split(node->right, key, &sub_less, greater);
+      *less = WithChildren(node, node->left, std::move(sub_less));
     }
   }
 
@@ -149,7 +195,7 @@ class PersistentMap {
   static NodePtr Merge(const NodePtr& a, const NodePtr& b) {
     if (a == nullptr) return b;
     if (b == nullptr) return a;
-    if (a->priority >= b->priority) {
+    if (Above(a->priority, a->key, *b)) {
       return WithChildren(a, a->left, Merge(a->right, b));
     }
     return WithChildren(b, Merge(a, b->left), b->right);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <iterator>
 #include <utility>
 
 #include "common/blocking_wait.h"
@@ -28,44 +29,88 @@ Entry Project(const Entry& entry,
   return out;
 }
 
-/// Adds (or removes) index postings for one attribute of one entry,
-/// deriving the new index layers by copy-on-write. Empty postings and
-/// empty value maps are erased so absent attributes stay absent.
-void IndexValues(Backend::AttrIndex* index, const std::string& norm_dn,
-                 const Dn& dn, std::string_view name,
-                 const std::vector<std::string>& values, bool insert) {
-  // Scratch keys reused across every value of the attribute.
+/// Normalized index keys of `values`, sorted and deduplicated (values
+/// such as "Foo Bar" and "foo  bar" share one key).
+std::vector<std::string> IndexKeys(const std::vector<std::string>& values) {
+  std::vector<std::string> keys;
+  keys.reserve(values.size());
+  for (const std::string& value : values) {
+    NormalizeSpaceLowerInto(value, &keys.emplace_back());
+  }
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  return keys;
+}
+
+/// Adds the posting `norm_dn` -> `dn` under each of `keys` of attribute
+/// `name`, or removes it when `dn` is null, deriving the new index
+/// layers by copy-on-write. Empty postings and empty value maps are
+/// erased so absent attributes stay absent.
+void UpdatePostings(Backend::AttrIndex* index, std::string_view name,
+                    const std::vector<std::string>& keys,
+                    const std::string& norm_dn,
+                    const std::shared_ptr<const Dn>& dn) {
+  if (keys.empty()) return;
   thread_local std::string attr_key;
-  thread_local std::string value_key;
   ToLowerInto(name, &attr_key);
   const Backend::ValueIndex* found = index->Find(attr_key);
-  if (found == nullptr && !insert) return;
+  if (found == nullptr && dn == nullptr) return;
   Backend::ValueIndex value_index =
       found != nullptr ? *found : Backend::ValueIndex();
-  for (const std::string& value : values) {
-    NormalizeSpaceLowerInto(value, &value_key);
-    const Backend::Postings* existing = value_index.Find(value_key);
-    if (insert) {
+  for (const std::string& key : keys) {
+    const Backend::Postings* existing = value_index.Find(key);
+    if (dn != nullptr) {
       Backend::Postings postings =
           existing != nullptr ? *existing : Backend::Postings();
-      value_index = value_index.Insert(value_key, postings.Insert(norm_dn, dn));
+      value_index = value_index.Insert(key, postings.Insert(norm_dn, dn));
     } else {
       if (existing == nullptr) continue;
       Backend::Postings postings = existing->Erase(norm_dn);
       value_index = postings.empty()
-                        ? value_index.Erase(value_key)
-                        : value_index.Insert(value_key, std::move(postings));
+                        ? value_index.Erase(key)
+                        : value_index.Insert(key, std::move(postings));
     }
   }
   *index = value_index.empty() ? index->Erase(attr_key)
                                : index->Insert(attr_key, std::move(value_index));
 }
 
+/// Indexes every value of `entry` under one shared DN, or removes its
+/// postings.
 void IndexEntry(Backend::AttrIndex* index, const Entry& entry, bool insert) {
   std::string norm_dn = entry.dn().Normalized();
+  std::shared_ptr<const Dn> dn =
+      insert ? std::make_shared<const Dn>(entry.dn()) : nullptr;
   for (const auto& [name, attr] : entry.attributes()) {
-    IndexValues(index, norm_dn, entry.dn(), name, attr.values(), insert);
+    UpdatePostings(index, name, IndexKeys(attr.values()), norm_dn, dn);
   }
+}
+
+/// Moves `norm_dn`'s postings for one attribute from the keys of
+/// `before` to the keys of `after` (either may be null for an absent
+/// attribute), touching only the keys found on one side.
+void ReindexAttribute(Backend::AttrIndex* index, std::string_view name,
+                      const Attribute* before, const Attribute* after,
+                      const std::string& norm_dn,
+                      const std::shared_ptr<const Dn>& dn) {
+  if (before != nullptr && after != nullptr &&
+      before->values() == after->values()) {
+    return;
+  }
+  std::vector<std::string> old_keys =
+      before != nullptr ? IndexKeys(before->values())
+                        : std::vector<std::string>();
+  std::vector<std::string> new_keys =
+      after != nullptr ? IndexKeys(after->values())
+                       : std::vector<std::string>();
+  std::vector<std::string> gone;
+  std::vector<std::string> added;
+  std::set_difference(old_keys.begin(), old_keys.end(), new_keys.begin(),
+                      new_keys.end(), std::back_inserter(gone));
+  std::set_difference(new_keys.begin(), new_keys.end(), old_keys.begin(),
+                      old_keys.end(), std::back_inserter(added));
+  UpdatePostings(index, name, gone, norm_dn, nullptr);
+  UpdatePostings(index, name, added, norm_dn, dn);
 }
 
 void ReindexSubtree(Backend::AttrIndex* index,
@@ -417,24 +462,23 @@ Status Backend::ModifyImpl(const Dn& dn,
   Snapshot next;
   next.root = ReplaceAt(current->root, dn, std::move(replacement));
   next.index = current->index;
-  // Reindex only the attributes the mods actually changed — the COW
-  // index pays per touched value, so skipping unchanged attributes
-  // keeps Modify cost proportional to the modification.
+  // Reindex only the value keys the mods changed: the COW index pays
+  // per touched posting, so adding one objectClass value inserts one
+  // posting instead of re-inserting the entry into every class's list.
   std::string norm_dn = dn.Normalized();
+  auto shared_dn = std::make_shared<const Dn>(updated.dn());
   const AttributeMap& before = old_entry.attributes();
   const AttributeMap& after = updated.attributes();
   for (const auto& [name, attr] : before) {
     auto it = after.find(name);
-    if (it == after.end() || it->second.values() != attr.values()) {
-      IndexValues(&next.index, norm_dn, dn, name, attr.values(),
-                  /*insert=*/false);
-    }
+    ReindexAttribute(&next.index, name, &attr,
+                     it == after.end() ? nullptr : &it->second, norm_dn,
+                     shared_dn);
   }
   for (const auto& [name, attr] : after) {
-    auto it = before.find(name);
-    if (it == before.end() || it->second.values() != attr.values()) {
-      IndexValues(&next.index, norm_dn, dn, name, attr.values(),
-                  /*insert=*/true);
+    if (before.find(name) == before.end()) {
+      ReindexAttribute(&next.index, name, nullptr, &attr, norm_dn,
+                       shared_dn);
     }
   }
   next.entry_count = current->entry_count;

@@ -73,8 +73,10 @@ class Backend {
   /// Equality/ordered index layers: lower(attr) -> normalized value ->
   /// normalized DN -> DN. All layers are persistent maps, so a writer
   /// touches O(log n) nodes per indexed value and the ordered middle
-  /// layer supports range scans for prefix plans.
-  using Postings = PersistentMap<Dn>;
+  /// layer supports range scans for prefix plans. Every posting of one
+  /// entry shares one immutable DN, so a posting node copied on a
+  /// write path copies a pointer, not the DN's RDN vector.
+  using Postings = PersistentMap<std::shared_ptr<const Dn>>;
   using ValueIndex = PersistentMap<Postings>;
   using AttrIndex = PersistentMap<ValueIndex>;
 

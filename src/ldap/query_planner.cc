@@ -1,6 +1,7 @@
 #include "ldap/query_planner.h"
 
 #include <algorithm>
+#include <memory>
 #include <optional>
 
 #include "common/strings.h"
@@ -23,8 +24,9 @@ void SortUniqueByDn(CandidateList* candidates) {
 }
 
 void AppendPostings(const Backend::Postings& postings, CandidateList* out) {
-  postings.ForEach([out](const std::string& norm_dn, const Dn& dn) {
-    out->emplace_back(norm_dn, dn);
+  postings.ForEach([out](const std::string& norm_dn,
+                         const std::shared_ptr<const Dn>& dn) {
+    out->emplace_back(norm_dn, *dn);
     return true;
   });
 }

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "common/random.h"
+#include "common/strings.h"
 #include "ldap/backend.h"
 
 namespace metacomm::ldap {
@@ -180,6 +185,119 @@ TEST_P(BackendModelTest, RandomOpsAgreeWithModel) {
     EXPECT_TRUE(entry == it->second)
         << "backend:\n" << entry.ToString() << "model:\n"
         << it->second.ToString();
+  }
+}
+
+/// (attribute key, value key, normalized DN, DN) for every posting.
+using IndexTuple =
+    std::tuple<std::string, std::string, std::string, std::string>;
+
+/// Flattens a snapshot's value index; flags any empty value layer or
+/// postings layer (an absent attribute or value must leave no layer).
+std::vector<IndexTuple> FlattenIndex(const Backend::Snapshot& snapshot,
+                                     bool* empty_layer) {
+  std::vector<IndexTuple> out;
+  snapshot.index.ForEach([&](const std::string& attr,
+                             const Backend::ValueIndex& values) {
+    if (values.empty()) *empty_layer = true;
+    values.ForEach([&](const std::string& value,
+                       const Backend::Postings& postings) {
+      if (postings.empty()) *empty_layer = true;
+      postings.ForEach([&](const std::string& norm_dn,
+                           const std::shared_ptr<const Dn>& dn) {
+        out.emplace_back(attr, value, norm_dn, dn->ToString());
+        return true;
+      });
+      return true;
+    });
+    return true;
+  });
+  return out;
+}
+
+/// The index a fresh backend builds from `backend`'s entries.
+std::vector<IndexTuple> RebuiltIndex(const Backend& backend) {
+  Backend fresh;
+  for (const Entry& entry : backend.DumpAll()) {
+    EXPECT_TRUE(fresh.Add(entry).ok()) << entry.dn().ToString();
+  }
+  bool empty_layer = false;
+  return FlattenIndex(*fresh.GetSnapshot(), &empty_layer);
+}
+
+/// The incremental index (Add indexes, Modify moves only the changed
+/// keys, ModifyRdn and Delete de-index) must equal a rebuild from the
+/// entries after every operation.
+TEST_P(BackendModelTest, IncrementalIndexEqualsRebuild) {
+  Random rng(GetParam());
+  Backend backend;
+  std::vector<Dn> universe;
+  for (const char* org : {"o=A", "o=B"}) {
+    Dn suffix = *Dn::Parse(org);
+    universe.push_back(suffix);
+    for (int person = 0; person < 6; ++person) {
+      universe.push_back(
+          suffix.Child(Rdn("cn", "p" + std::to_string(person))));
+    }
+  }
+  const std::vector<std::string> attributes = {"description", "mail",
+                                               "objectClass"};
+  // Distinct attribute values that share a normalized index key
+  // ("Foo Bar" / "foo  bar", "y" / " y ").
+  const std::vector<std::string> key_sharing = {
+      "Foo Bar", "foo  bar", "FOO BAR", " foo bar", "y", " y ", "Y", "x y",
+      "x  y"};
+  auto pick_values = [&rng, &key_sharing](size_t max) {
+    std::vector<std::string> values;
+    size_t count = rng.Uniform(max + 1);
+    for (size_t i = 0; i < count; ++i) {
+      values.push_back(rng.Choice(key_sharing));
+    }
+    return values;
+  };
+
+  for (int step = 0; step < 1500; ++step) {
+    const Dn& dn = rng.Choice(universe);
+    switch (rng.Uniform(4)) {
+      case 0: {  // Add.
+        Entry entry(dn);
+        entry.AddObjectClass("top");
+        for (const Ava& ava : dn.leaf().avas()) {
+          entry.AddValue(ava.attribute, ava.value);
+        }
+        for (const std::string& value : pick_values(3)) {
+          entry.AddValue(rng.Choice(attributes), value);
+        }
+        backend.Add(entry);
+        break;
+      }
+      case 1: {  // Modify, addressed by the DN in another letter case.
+        Modification mod;
+        mod.type = rng.Choice(std::vector<Modification::Type>{
+            Modification::Type::kAdd, Modification::Type::kDelete,
+            Modification::Type::kReplace});
+        mod.attribute = rng.Choice(attributes);
+        mod.values = pick_values(3);
+        Dn target = rng.Bernoulli(0.5) ? *Dn::Parse(ToUpper(dn.ToString()))
+                                       : dn;
+        backend.Modify(target, {mod});
+        break;
+      }
+      case 2: {  // Leaf ModifyRdn.
+        if (dn.depth() < 2) break;
+        Rdn new_rdn("cn", "p" + std::to_string(rng.Uniform(6)));
+        backend.ModifyRdn(dn, new_rdn, rng.Bernoulli(0.5));
+        break;
+      }
+      default:  // Delete.
+        backend.Delete(dn);
+        break;
+    }
+    bool empty_layer = false;
+    std::vector<IndexTuple> incremental =
+        FlattenIndex(*backend.GetSnapshot(), &empty_layer);
+    ASSERT_FALSE(empty_layer) << "step " << step;
+    ASSERT_EQ(incremental, RebuiltIndex(backend)) << "step " << step;
   }
 }
 

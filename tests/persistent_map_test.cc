@@ -1,10 +1,13 @@
 #include "common/persistent_map.h"
 
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "common/random.h"
 
 namespace metacomm {
 namespace {
@@ -161,6 +164,82 @@ TEST(PersistentMapTest, LargeMapStaysConsistent) {
     EXPECT_EQ(map.Find("key" + std::to_string(i)) != nullptr, i % 2 == 1);
   }
 }
+
+using Model = std::map<std::string, int>;
+
+Entries Collect(const Model& model) {
+  return Entries(model.begin(), model.end());
+}
+
+Entries CollectFrom(const PersistentMap<int>& map, const std::string& from) {
+  Entries out;
+  map.ForEachFrom(from, [&out](const std::string& key, int value) {
+    out.emplace_back(key, value);
+    return true;
+  });
+  return out;
+}
+
+Entries CollectFrom(const Model& model, const std::string& from) {
+  return Entries(model.lower_bound(from), model.end());
+}
+
+/// Model test: seeded interleavings of inserts (new keys and
+/// overwrites) and erases (present and absent keys) against std::map.
+/// Keys share long prefixes, and some keys are prefixes of others, so
+/// every comparison on a search path runs deep into the key.
+class PersistentMapModelTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(PersistentMapModelTest, RandomOpsAgreeWithStdMap) {
+  Random rng(GetParam());
+  std::vector<std::string> universe;
+  const std::string prefix = "cn=person,ou=people,o=lucent#";
+  for (int i = 0; i < 160; ++i) {
+    universe.push_back(prefix + std::to_string(i));
+  }
+  universe.push_back(prefix);
+  universe.push_back(prefix.substr(0, prefix.size() / 2));
+  universe.push_back("");
+
+  PersistentMap<int> map;
+  Model model;
+  std::vector<std::pair<PersistentMap<int>, Model>> retained;
+  for (int step = 0; step < 3000; ++step) {
+    const std::string& key = rng.Choice(universe);
+    if (rng.Bernoulli(0.6)) {
+      int value = static_cast<int>(rng.Uniform(1000));
+      map = map.Insert(key, value);
+      model[key] = value;
+    } else {
+      map = map.Erase(key);
+      model.erase(key);
+    }
+    ASSERT_EQ(map.size(), model.size()) << "step " << step;
+    ASSERT_EQ(map.empty(), model.empty()) << "step " << step;
+    for (const std::string& probe : {key, rng.Choice(universe)}) {
+      const int* found = map.Find(probe);
+      auto it = model.find(probe);
+      ASSERT_EQ(found != nullptr, it != model.end())
+          << "step " << step << " key " << probe;
+      if (found != nullptr) {
+        ASSERT_EQ(*found, it->second) << "step " << step;
+      }
+    }
+    ASSERT_EQ(Collect(map), Collect(model)) << "step " << step;
+    // A `from` between keys as well as on one.
+    std::string from = rng.Choice(universe) + (rng.Bernoulli(0.5) ? "" : "5");
+    ASSERT_EQ(CollectFrom(map, from), CollectFrom(model, from))
+        << "step " << step << " from " << from;
+    if (step % 250 == 0) retained.emplace_back(map, model);
+  }
+  for (const auto& [version, expected] : retained) {
+    EXPECT_EQ(version.size(), expected.size());
+    EXPECT_EQ(Collect(version), Collect(expected));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PersistentMapModelTest,
+                         ::testing::Values(1u, 2u, 3u, 42u, 20260705u));
 
 }  // namespace
 }  // namespace metacomm

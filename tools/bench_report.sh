@@ -11,14 +11,17 @@
 #                                      # baselines, flag >20% slowdowns
 #
 # Each report carries per-run wall time, ops/sec, user counters, and
-# p50/p99 across the runs — see bench/bench_main.h. The benches must
-# already be built (cmake --build build).
+# the build type, lockdep setting and nproc that produced it — see
+# bench/bench_main.h. The benches must already be built
+# (cmake --build build).
 #
 # --compare reads each committed BENCH_<name>.json out of git HEAD,
 # reruns the bench into build/, and compares per-run real_ms by
 # benchmark name. Runs more than 20% slower than baseline
-# are flagged and the script exits non-zero. Benches without a
-# committed baseline are reported and skipped.
+# are flagged and the script exits non-zero. A baseline whose
+# build_type differs from the fresh run's gets one warning line: its
+# ratios compare two builds, not two versions of the code. Benches
+# without a committed baseline are reported and skipped.
 set -u
 
 cd "$(dirname "$0")/.."
@@ -68,6 +71,12 @@ with open(sys.argv[1]) as f:
     base = json.load(f)
 with open(sys.argv[2]) as f:
     fresh = json.load(f)
+
+base_build = base.get("build_type", "unrecorded")
+fresh_build = fresh.get("build_type", "unrecorded")
+if base_build != fresh_build:
+    print(f"  WARNING: baseline built {base_build}, this run "
+          f"{fresh_build}: the ratios below compare different builds")
 
 base_runs = {run["name"]: run["real_ms"] for run in base.get("runs", [])}
 flagged = []

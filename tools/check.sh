@@ -250,7 +250,7 @@ if tools/bench_report.sh --compare --smoke >/tmp/bench_compare.log 2>&1; then
   grep -E '^(  |no regressions|SKIP)' /tmp/bench_compare.log || true
   echo "bench compare: no regressions flagged"
 else
-  grep -E 'REGRESSION|regressed|FAIL' /tmp/bench_compare.log || true
+  grep -E 'WARNING: baseline|REGRESSION|regressed|FAIL' /tmp/bench_compare.log || true
   echo "WARN: bench compare flagged >20% slowdowns vs committed" \
        "baselines (informational; smoke runs are noisy, not failing" \
        "the gate)"
