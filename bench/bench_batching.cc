@@ -41,7 +41,7 @@ int64_t NowMicros() { return RealClock::Get()->NowMicros(); }
 /// Waits until the directory shows every expected value AND the
 /// update manager has pushed `want_applies` total updates to the
 /// devices (the device-side wave tail lags the directory write).
-/// Polls the directory and the stats mutex only — never the devices,
+/// Polls the directory and the UM counters only — never the devices,
 /// whose emulated RTT would bill 200µs per probe.
 bool AwaitSettled(core::MetaCommSystem& system,
                   std::map<std::string, std::string> expected_rooms,

@@ -131,10 +131,9 @@ class Console {
       return system_.update_manager().Synchronize(metacomm::Trim(rest));
     }
     if (verb == "monitor") {
-      METACOMM_RETURN_IF_ERROR(system_.monitor().Refresh());
       METACOMM_ASSIGN_OR_RETURN(
           std::vector<metacomm::ldap::Entry> entries,
-          client_.Search(system_.monitor().base_dn(),
+          client_.Search(system_.monitor_base().ToString(),
                          "(monitorInfo=*)"));
       for (const metacomm::ldap::Entry& entry : entries) {
         std::printf("%s:\n", entry.GetFirst("cn").c_str());

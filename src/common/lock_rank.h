@@ -23,13 +23,8 @@ namespace metacomm {
 ///  - kUmSync < everything from kLdapServerUsers up: Synchronize holds
 ///    sync_mutex_ across gateway quiesce, directory writes and device
 ///    fan-out (update_manager.cc).
-///  - kGatewayState < kGatewayStats: LtapGateway::EnterUpdate counts a
-///    quiesce wait while holding the state lock.
 ///  - kGatewayState < kLeaf: Quiesce fires OnPersistentConnection
 ///    callbacks (test recorders) under the state lock.
-///  - kUmStats < kUmQueueShard / kBreaker / kFaultInjector:
-///    UpdateManager::stats() samples queue depths, breaker snapshots
-///    and repository health while holding stats_mutex_.
 ///  - kUmSync < kUmShutdown: Synchronize reads stop_epoch() (the
 ///    shutdown lock) inside the sync critical section.
 ///
@@ -66,13 +61,11 @@ enum class LockRank : int {
 
   // --- 4xx: LTAP.
   kGatewayState = 400,  // LtapGateway quiesce / in-flight state.
-  kGatewayStats = 410,  // LtapGateway counters.
   kLtapLockTable = 420, // ltap::LockTable entry-lock map.
 
   // --- 5xx: Update Manager core.
   kUmShutdown = 500,   // Stop()/sleep interruption plumbing.
   kUmAdmin = 510,      // Admin-callback slot.
-  kUmStats = 520,      // Stats/replay-backlog counters.
   kUmQueueShard = 530, // ShardedBlockingQueue per-shard locks.
   kBreaker = 540,      // core::CircuitBreaker state.
 

@@ -1,6 +1,7 @@
 #include "core/metacomm.h"
 
 #include "core/integrated_schema.h"
+#include "core/monitor.h"
 #include "lexpress/mapping.h"
 
 namespace metacomm::core {
@@ -65,9 +66,8 @@ Status MetaCommSystem::Init() {
     if (status.code() == StatusCode::kAlreadyExists) return Status::Ok();
     return status;
   };
+  METACOMM_ASSIGN_OR_RETURN(ldap::Dn suffix, ldap::Dn::Parse(config_.suffix));
   {
-    METACOMM_ASSIGN_OR_RETURN(ldap::Dn suffix,
-                              ldap::Dn::Parse(config_.suffix));
     const ldap::Ava& ava = suffix.leaf().avas().front();
     std::string cls = EqualsIgnoreCase(ava.attribute, "ou")
                           ? "organizationalUnit"
@@ -149,8 +149,10 @@ Status MetaCommSystem::Init() {
 
   METACOMM_RETURN_IF_ERROR(um_->ValidateMappings());
   METACOMM_RETURN_IF_ERROR(um_->InstallTrigger(config_.people_base));
-  monitor_ = std::make_unique<MonitorPublisher>(
-      server_.get(), gateway_.get(), um_.get(), config_.suffix);
+  monitor_base_ = suffix.Child(ldap::Rdn("cn", "monitor"));
+  server_->SetRenderedSubtree(monitor_base_, [this] {
+    return RenderMonitor(monitor_base_, *server_, *gateway_, *um_);
+  });
   if (config_.um.threaded) um_->Start();
   if (durability_ != nullptr) {
     // Replay the previous process's acked-but-unapplied device

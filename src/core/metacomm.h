@@ -8,7 +8,6 @@
 #include "core/device_filter.h"
 #include "core/ldap_filter.h"
 #include "core/mapping_gen.h"
-#include "core/monitor.h"
 #include "core/update_manager.h"
 #include "devices/definity_pbx.h"
 #include "devices/messaging_platform.h"
@@ -79,8 +78,9 @@ class MetaCommSystem {
   UpdateManager& update_manager() { return *um_; }
   LdapFilter& ldap_filter() { return *ldap_filter_; }
 
-  /// cn=monitor publisher; call Refresh() then browse via LDAP.
-  MonitorPublisher& monitor() { return *monitor_; }
+  /// DN of the read-only cn=monitor subtree: browse it via LDAP (it is
+  /// rendered from the live counters on every read, see monitor.h).
+  const ldap::Dn& monitor_base() const { return monitor_base_; }
 
   /// The durability subsystem; nullptr when no data_dir is configured.
   storage::DurabilityManager* durability() { return durability_.get(); }
@@ -130,7 +130,7 @@ class MetaCommSystem {
   std::vector<std::unique_ptr<devices::MessagingPlatform>> mps_;
   std::vector<std::unique_ptr<DeviceFilter>> filters_;
   std::unique_ptr<UpdateManager> um_;
-  std::unique_ptr<MonitorPublisher> monitor_;
+  ldap::Dn monitor_base_;
 };
 
 }  // namespace metacomm::core

@@ -1,16 +1,15 @@
 #ifndef METACOMM_CORE_MONITOR_H_
 #define METACOMM_CORE_MONITOR_H_
 
-#include <string>
+#include <vector>
 
-#include "common/status.h"
 #include "core/update_manager.h"
 #include "ldap/server.h"
 #include "ltap/gateway.h"
 
 namespace metacomm::core {
 
-/// Publishes MetaComm runtime statistics as directory entries under
+/// MetaComm runtime statistics as a read-only LDAP subtree under
 /// cn=monitor,<suffix> — the directory-native monitoring idiom (real
 /// servers expose cn=monitor the same way). Administrators browse the
 /// meta-directory's own health with the same LDAP tools they use for
@@ -20,6 +19,8 @@ namespace metacomm::core {
 ///   cn=monitor,<suffix>                    (container)
 ///   cn=gateway,cn=monitor,<suffix>         LTAP counters
 ///   cn=update-manager,cn=monitor,<suffix>  UM counters
+///   cn=um-batches,cn=monitor,<suffix>      batch-size histogram
+///   cn=um-shard-N,cn=monitor,<suffix>      per-shard queue telemetry
 ///   cn=directory,cn=monitor,<suffix>       backend size/changes
 ///   cn=ldap-reads,cn=monitor,<suffix>      read path: search counts,
 ///                                          plan mix, candidate
@@ -31,37 +32,16 @@ namespace metacomm::core {
 ///                                          replay backlog, injected
 ///                                          fault telemetry
 ///
-/// Counters are point-in-time snapshots; call Refresh() to update.
-/// Writes go straight to the backend (monitor data is operational, not
-/// integrated user data — it must not trigger propagation).
-class MonitorPublisher {
- public:
-  /// None of the pointers are owned; all must outlive the publisher.
-  MonitorPublisher(ldap::LdapServer* server, ltap::LtapGateway* gateway,
-                   UpdateManager* update_manager, std::string suffix);
-
-  /// Creates/updates the monitor entries with current counters.
-  Status Refresh();
-
-  /// DN of the monitor container.
-  std::string base_dn() const { return "cn=monitor," + suffix_; }
-
- private:
-  /// Upserts one monitor entry with the given counter attributes.
-  Status Publish(const std::string& name,
-                 const std::vector<std::pair<std::string, uint64_t>>&
-                     counters);
-
-  /// Upserts one monitor entry from pre-rendered "key=value" strings
-  /// (for non-numeric values like the breaker state name).
-  Status PublishInfo(const std::string& name,
-                     std::vector<std::string> info);
-
-  ldap::LdapServer* server_;
-  ltap::LtapGateway* gateway_;
-  UpdateManager* update_manager_;
-  std::string suffix_;
-};
+/// Returns the container `base` followed by one entry per section,
+/// with the counters' current values as "key=value" monitorInfo
+/// strings. MetaCommSystem installs it as the server's rendered
+/// subtree (LdapServer::SetRenderedSubtree), so the entries are built
+/// each time they are read: always current, and looking at them writes
+/// nothing — no directory commit, no WAL record, no propagation.
+std::vector<ldap::Entry> RenderMonitor(const ldap::Dn& base,
+                                       const ldap::LdapServer& server,
+                                       const ltap::LtapGateway& gateway,
+                                       const UpdateManager& update_manager);
 
 }  // namespace metacomm::core
 

@@ -34,9 +34,9 @@ UpdateManager::UpdateManager(ltap::LtapGateway* gateway,
     : gateway_(gateway),
       ldap_filter_(ldap_filter),
       config_(config),
-      queue_(static_cast<size_t>(std::max(1, config.worker_threads))) {
+      queue_(static_cast<size_t>(std::max(1, config.worker_threads))),
+      shard_counters_(queue_.shard_count()) {
   um_session_ = gateway_->NewSession();
-  stats_.shards.resize(queue_.shard_count());
 }
 
 UpdateManager::~UpdateManager() { Stop(); }
@@ -130,10 +130,8 @@ void UpdateManager::Stop() {
           Status::Unavailable("update manager is shut down"));
     }
   }
-  if (!abandoned.empty()) {
-    MutexLock lock(&stats_mutex_);
-    stats_.shutdown_drained += abandoned.size();
-  }
+  counters_.shutdown_drained.fetch_add(abandoned.size(),
+                                       std::memory_order_relaxed);
 }
 
 void UpdateManager::WorkerLoop(size_t shard, uint64_t epoch) {
@@ -159,14 +157,17 @@ void UpdateManager::RecordDrain(const std::vector<WorkItem>& batch) {
                         : size <= 16 ? 4
                                      : 5;
   const int64_t now = RealClock::Get()->NowMicros();
-  MutexLock lock(&stats_mutex_);
-  ++stats_.batches;
-  ++stats_.batch_size_buckets[bucket];
+  counters_.batches.fetch_add(1, std::memory_order_relaxed);
+  counters_.batch_size_buckets[bucket].fetch_add(1,
+                                                 std::memory_order_relaxed);
   for (const WorkItem& item : batch) {
-    ShardStats& stats = stats_.shards[item.shard];
-    ++stats.dequeued;
+    ShardCounters& shard = shard_counters_[item.shard];
+    shard.dequeued.fetch_add(1, std::memory_order_relaxed);
     int64_t waited = now - item.enqueue_micros;
-    if (waited > 0) stats.queue_wait_micros += static_cast<uint64_t>(waited);
+    if (waited > 0) {
+      shard.queue_wait_micros.fetch_add(static_cast<uint64_t>(waited),
+                                        std::memory_order_relaxed);
+    }
   }
 }
 
@@ -174,11 +175,13 @@ bool UpdateManager::Enqueue(WorkItem item) {
   item.enqueue_micros = RealClock::Get()->NowMicros();
   size_t shard = item.shard;
   if (!queue_.Push(shard, std::move(item))) return false;
-  MutexLock lock(&stats_mutex_);
-  ShardStats& stats = stats_.shards[shard];
-  ++stats.enqueued;
-  stats.max_depth =
-      std::max<uint64_t>(stats.max_depth, queue_.Depth(shard));
+  ShardCounters& counters = shard_counters_[shard];
+  counters.enqueued.fetch_add(1, std::memory_order_relaxed);
+  const uint64_t depth = queue_.Depth(shard);
+  uint64_t seen = counters.max_depth.load(std::memory_order_relaxed);
+  while (depth > seen && !counters.max_depth.compare_exchange_weak(
+                             seen, depth, std::memory_order_relaxed)) {
+  }
   return true;
 }
 
@@ -274,10 +277,7 @@ Status UpdateManager::OnUpdate(
   if (notification.session_id == um_session_) {
     return Status::Ok();  // Our own writes need no re-processing.
   }
-  {
-    MutexLock lock(&stats_mutex_);
-    ++stats_.ldap_updates;
-  }
+  counters_.ldap_updates.fetch_add(1, std::memory_order_relaxed);
   StatusOr<lexpress::UpdateDescriptor> descriptor =
       DescriptorFromNotification(notification);
   if (!descriptor.ok()) return descriptor.status();
@@ -366,10 +366,7 @@ RepositoryFilter* UpdateManager::FindFilter(const std::string& name) const {
 StatusOr<std::optional<UpdateManager::WorkItem>>
 UpdateManager::PrepareDeviceUpdate(
     const lexpress::UpdateDescriptor& update) {
-  {
-    MutexLock lock(&stats_mutex_);
-    ++stats_.device_updates;
-  }
+  counters_.device_updates.fetch_add(1, std::memory_order_relaxed);
   RepositoryFilter* filter = FindFilter(update.source);
   if (filter == nullptr) {
     return Status::Internal("no filter for device: " + update.source);
@@ -478,10 +475,7 @@ Status UpdateManager::AcquireEntryLock(const ldap::Dn& dn,
     // The holder is usually a client write or another DDU one
     // propagation round away from finishing: back off (doubling per
     // attempt) instead of dropping the device update on the floor.
-    {
-      MutexLock lock(&stats_mutex_);
-      ++stats_.lock_retries;
-    }
+    counters_.lock_retries.fetch_add(1, std::memory_order_relaxed);
     // Doubling, capped at 64x so long retry budgets poll steadily
     // instead of sleeping for geometric ages.
     int64_t backoff = config_.ddu_lock_retry_backoff_micros
@@ -653,8 +647,7 @@ Status UpdateManager::BackfillGeneratedInfo(
     HandleError(applied.status(), backfill);
     return applied.status();
   }
-  MutexLock lock(&stats_mutex_);
-  ++stats_.generated_info;
+  counters_.generated_info.fetch_add(1, std::memory_order_relaxed);
   return Status::Ok();
 }
 
@@ -669,8 +662,8 @@ void UpdateManager::SettleUnit(const CoalescedUnit& unit,
     if (processed) SettleIntent(item.intent_id);
   }
   if (!processed) {
-    MutexLock lock(&stats_mutex_);
-    stats_.shutdown_drained += unit.constituents.size();
+    counters_.shutdown_drained.fetch_add(unit.constituents.size(),
+                                         std::memory_order_relaxed);
   }
 }
 
@@ -686,8 +679,8 @@ void UpdateManager::ProcessBatch(std::vector<WorkItem>& items, uint64_t epoch,
   CoalesceResult folded =
       CoalesceBatch(std::move(descriptors), ldap_filter_->key_attr());
   if (folded.coalesced_away > 0) {
-    MutexLock lock(&stats_mutex_);
-    stats_.coalesced += folded.coalesced_away;
+    counters_.coalesced.fetch_add(folded.coalesced_away,
+                                  std::memory_order_relaxed);
   }
   std::vector<CoalescedUnit>& units = folded.units;
 
@@ -815,11 +808,9 @@ void UpdateManager::PropagateWave(std::vector<CoalescedUnit>& units,
       SettleUnit(unit, items, plan.status(), /*processed=*/true);
       continue;
     }
-    {
-      MutexLock lock(&stats_mutex_);
-      stats_.closure_iterations +=
-          static_cast<uint64_t>(plan->closure_iterations);
-    }
+    counters_.closure_iterations.fetch_add(
+        static_cast<uint64_t>(plan->closure_iterations),
+        std::memory_order_relaxed);
     lu.plan = std::move(*plan);
     live.push_back(std::move(lu));
   }
@@ -837,8 +828,8 @@ void UpdateManager::PropagateWave(std::vector<CoalescedUnit>& units,
       return;
     }
     if (live.size() > 1) {
-      MutexLock lock(&stats_mutex_);
-      stats_.rtts_saved += live.size() - 1;
+      counters_.rtts_saved.fetch_add(live.size() - 1,
+                                     std::memory_order_relaxed);
     }
   }
 
@@ -878,8 +869,7 @@ void UpdateManager::PropagateWave(std::vector<CoalescedUnit>& units,
         if (op.update.conditional) {
           // Reapplication to the originator (§5.4).
           if (!config_.reapply_to_originator) continue;
-          MutexLock lock(&stats_mutex_);
-          ++stats_.reapplications;
+          counters_.reapplications.fetch_add(1, std::memory_order_relaxed);
         }
         updates.push_back(std::move(op.update));
         owners.push_back(i);
@@ -908,10 +898,7 @@ void UpdateManager::PropagateWave(std::vector<CoalescedUnit>& units,
         }
         continue;
       }
-      {
-        MutexLock lock(&stats_mutex_);
-        ++stats_.device_applies;
-      }
+      counters_.device_applies.fetch_add(1, std::memory_order_relaxed);
       if (config_.saga_undo) {
         owner.undo.emplace_back(filter, InverseOf(updates[i], priors[i]));
       }
@@ -943,8 +930,7 @@ void UpdateManager::UndoApplied(
                              << ": " << result.status().ToString();
       continue;
     }
-    MutexLock lock(&stats_mutex_);
-    ++stats_.undos;
+    counters_.undos.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -963,10 +949,7 @@ void UpdateManager::HandleFailure(const std::string& repository,
   // entry is audit-only.
   const std::string replay_repository =
       config_.saga_undo ? "" : repository;
-  {
-    MutexLock lock(&stats_mutex_);
-    ++stats_.errors;
-  }
+  counters_.errors.fetch_add(1, std::memory_order_relaxed);
   METACOMM_LOG(kWarning) << "update failed: " << error.ToString() << " ("
                          << update.ToString() << ")";
   // "an error is logged into the directory, and a notification is sent
@@ -1003,9 +986,6 @@ void UpdateManager::HandleFailure(const std::string& repository,
       if (!logged.ok()) {
         METACOMM_LOG(kWarning) << "error-log write failed: "
                                << logged.ToString();
-      } else if (failure.replayable()) {
-        MutexLock lock(&stats_mutex_);
-        ++replay_backlog_[replay_repository];
       }
     }
   }
@@ -1034,17 +1014,15 @@ std::vector<ApplyResult> UpdateManager::ApplyToRepository(
     // Open circuit: no administrative conversation is even opened. The
     // caller logs each update replayably; the healthy repositories'
     // fan-out is untouched, which is the breaker's whole point.
-    {
-      MutexLock lock(&stats_mutex_);
-      stats_.breaker_open_skips += updates.size();
-    }
+    counters_.breaker_open_skips.fetch_add(updates.size(),
+                                           std::memory_order_relaxed);
     return std::vector<ApplyResult>(
         updates.size(), ApplyResult::SkippedOpenCircuit(filter->name()));
   }
   std::vector<ApplyResult> applied = filter->ApplyBatch(updates);
   if (updates.size() > 1) {
-    MutexLock lock(&stats_mutex_);
-    stats_.rtts_saved += updates.size() - 1;
+    counters_.rtts_saved.fetch_add(updates.size() - 1,
+                                   std::memory_order_relaxed);
   }
   if (breaker != nullptr) {
     for (const ApplyResult& result : applied) {
@@ -1079,13 +1057,8 @@ void UpdateManager::RepairLoop() {
   }
 }
 
-Status UpdateManager::RunRepairPass() {
-  {
-    MutexLock lock(&stats_mutex_);
-    ++stats_.repair_passes;
-  }
-  if (config_.error_base.empty()) return Status::Ok();
-
+StatusOr<UpdateManager::Backlog> UpdateManager::PendingReplays() const {
+  if (config_.error_base.empty()) return Backlog();
   METACOMM_ASSIGN_OR_RETURN(ldap::Dn base,
                             ldap::Dn::Parse(config_.error_base));
   ldap::SearchRequest request;
@@ -1097,78 +1070,56 @@ Status UpdateManager::RunRepairPass() {
   ctx.principal = "cn=metacomm";
   ctx.internal = true;
   StatusOr<ldap::SearchResult> result = gateway_->Search(ctx, request);
-  if (!result.ok()) {
-    // No error container (or nothing logged yet): nothing to repair.
-    if (result.status().code() == StatusCode::kNotFound) {
-      return Status::Ok();
-    }
-    return result.status();
-  }
-
-  // Group the replayable backlog by repository, in errorSeq order.
-  // Audit-only entries (no errorSeq, no errorRepository, or permanent
-  // outcomes) stay in the log for the administrator.
-  std::map<std::string, std::vector<std::pair<LoggedFailure, ldap::Dn>>,
-           CaseInsensitiveLess>
-      pending;
+  // No error container (nothing logged yet): no backlog.
+  if (result.status().code() == StatusCode::kNotFound) return Backlog();
+  METACOMM_RETURN_IF_ERROR(result.status());
+  Backlog backlog;
   for (ldap::Entry& entry : result->entries) {
     StatusOr<LoggedFailure> parsed = ParseErrorEntry(entry);
     if (!parsed.ok() || !parsed->replayable()) continue;
     if (FindFilter(parsed->repository) == nullptr) continue;
-    pending[parsed->repository].emplace_back(std::move(*parsed),
+    backlog[parsed->repository].emplace_back(std::move(*parsed),
                                              entry.dn());
   }
-
-  Status first_error = Status::Ok();
-  for (auto& [repository, items] : pending) {
-    if (stopping()) break;
-    RepositoryFilter* filter = FindFilter(repository);
+  for (auto& [repository, items] : backlog) {
     std::sort(items.begin(), items.end(),
-              [](const std::pair<LoggedFailure, ldap::Dn>& a,
-                 const std::pair<LoggedFailure, ldap::Dn>& b) {
+              [](const PendingReplay& a, const PendingReplay& b) {
                 return a.first.sequence < b.first.sequence;
               });
-    std::vector<LoggedFailure> failures;
-    std::vector<ldap::Dn> entry_dns;
-    failures.reserve(items.size());
-    entry_dns.reserve(items.size());
-    for (auto& [failure, dn] : items) {
-      failures.push_back(std::move(failure));
-      entry_dns.push_back(std::move(dn));
-    }
+  }
+  return backlog;
+}
 
+Status UpdateManager::RunRepairPass() {
+  counters_.repair_passes.fetch_add(1, std::memory_order_relaxed);
+  METACOMM_ASSIGN_OR_RETURN(Backlog pending, PendingReplays());
+  Status first_error = Status::Ok();
+  for (const auto& [repository, backlog] : pending) {
+    if (stopping()) break;
     std::vector<ldap::Dn> replayed_dns;
     bool need_sync =
-        ReplayRepository(filter, failures, entry_dns, &replayed_dns);
+        ReplayRepository(FindFilter(repository), backlog, &replayed_dns);
     if (need_sync && !stopping()) {
       // Replay could not converge (permanent rejection, or the
       // directory drifted past the logged images): fall back to full
       // resynchronization (§4.1), which subsumes the whole backlog.
-      {
-        MutexLock lock(&stats_mutex_);
-        ++stats_.repair_syncs;
-      }
+      counters_.repair_syncs.fetch_add(1, std::memory_order_relaxed);
       Status synced = Synchronize(repository);
       if (!synced.ok()) {
         if (first_error.ok()) first_error = synced;
         // Device still down: keep the backlog for the next pass.
         continue;
       }
-      for (const ldap::Dn& dn : entry_dns) {
-        DeleteErrorEntry(dn, repository);
-      }
+      for (const auto& [failure, dn] : backlog) DeleteErrorEntry(dn);
     } else {
-      for (const ldap::Dn& dn : replayed_dns) {
-        DeleteErrorEntry(dn, repository);
-      }
+      for (const ldap::Dn& dn : replayed_dns) DeleteErrorEntry(dn);
     }
   }
   return first_error;
 }
 
 bool UpdateManager::ReplayRepository(
-    RepositoryFilter* filter, const std::vector<LoggedFailure>& failures,
-    const std::vector<ldap::Dn>& entry_dns,
+    RepositoryFilter* filter, const std::vector<PendingReplay>& backlog,
     std::vector<ldap::Dn>* replayed_dns) {
   const std::string& ldap_key = filter->to_ldap().key_target_attr();
   // Convergence is checked once per entity, against the LAST replayed
@@ -1176,9 +1127,8 @@ bool UpdateManager::ReplayRepository(
   // directory's final image while the backlog drains.
   std::map<std::string, lexpress::UpdateDescriptor, CaseInsensitiveLess>
       last_by_key;
-  for (size_t i = 0; i < failures.size(); ++i) {
+  for (const auto& [failure, entry_dn] : backlog) {
     if (stopping()) return false;
-    const LoggedFailure& failure = failures[i];
 
     // Serialize the replay against concurrent client writes via the
     // integrated entry's LTAP lock (best-effort: a record the
@@ -1234,12 +1184,9 @@ bool UpdateManager::ReplayRepository(
       return true;
     }
 
-    {
-      MutexLock lock(&stats_mutex_);
-      ++stats_.replayed;
-    }
+    counters_.replayed.fetch_add(1, std::memory_order_relaxed);
     BackfillFromReplay(filter, result.record());
-    replayed_dns->push_back(entry_dns[i]);
+    replayed_dns->push_back(entry_dn);
     std::string key = replay.new_record.GetFirst(filter->key_attr());
     if (key.empty()) {
       key = replay.old_record.GetFirst(filter->key_attr());
@@ -1336,8 +1283,7 @@ bool UpdateManager::ReplayConverged(
   return true;
 }
 
-void UpdateManager::DeleteErrorEntry(const ldap::Dn& dn,
-                                     const std::string& repository) {
+void UpdateManager::DeleteErrorEntry(const ldap::Dn& dn) {
   ldap::OpContext ctx;
   ctx.principal = "cn=metacomm";
   ctx.internal = true;
@@ -1345,11 +1291,7 @@ void UpdateManager::DeleteErrorEntry(const ldap::Dn& dn,
   if (!status.ok() && status.code() != StatusCode::kNotFound) {
     METACOMM_LOG(kWarning) << "error-log delete failed: "
                            << status.ToString();
-    return;
   }
-  MutexLock lock(&stats_mutex_);
-  auto it = replay_backlog_.find(repository);
-  if (it != replay_backlog_.end() && it->second > 0) --it->second;
 }
 
 Status UpdateManager::Synchronize(const std::string& device_name) {
@@ -1469,10 +1411,7 @@ Status UpdateManager::Synchronize(const std::string& device_name) {
     }
   }
 
-  {
-    MutexLock lock(&stats_mutex_);
-    ++stats_.syncs;
-  }
+  counters_.syncs.fetch_add(1, std::memory_order_relaxed);
   return first_error;
 }
 
@@ -1486,12 +1425,42 @@ Status UpdateManager::SynchronizeAll() {
 }
 
 UpdateManager::Stats UpdateManager::stats() const {
-  MutexLock lock(&stats_mutex_);
-  Stats snapshot = stats_;
-  for (size_t shard = 0; shard < snapshot.shards.size(); ++shard) {
-    snapshot.shards[shard].depth = queue_.Depth(shard);
+  constexpr std::memory_order kRelaxed = std::memory_order_relaxed;
+  Stats out;
+  out.ldap_updates = counters_.ldap_updates.load(kRelaxed);
+  out.device_updates = counters_.device_updates.load(kRelaxed);
+  out.device_applies = counters_.device_applies.load(kRelaxed);
+  out.reapplications = counters_.reapplications.load(kRelaxed);
+  out.generated_info = counters_.generated_info.load(kRelaxed);
+  out.errors = counters_.errors.load(kRelaxed);
+  out.undos = counters_.undos.load(kRelaxed);
+  out.closure_iterations = counters_.closure_iterations.load(kRelaxed);
+  out.syncs = counters_.syncs.load(kRelaxed);
+  out.lock_retries = counters_.lock_retries.load(kRelaxed);
+  out.shutdown_drained = counters_.shutdown_drained.load(kRelaxed);
+  out.batches = counters_.batches.load(kRelaxed);
+  out.coalesced = counters_.coalesced.load(kRelaxed);
+  out.rtts_saved = counters_.rtts_saved.load(kRelaxed);
+  out.breaker_open_skips = counters_.breaker_open_skips.load(kRelaxed);
+  out.replayed = counters_.replayed.load(kRelaxed);
+  out.repair_passes = counters_.repair_passes.load(kRelaxed);
+  out.repair_syncs = counters_.repair_syncs.load(kRelaxed);
+  for (size_t i = 0; i < out.batch_size_buckets.size(); ++i) {
+    out.batch_size_buckets[i] = counters_.batch_size_buckets[i].load(kRelaxed);
   }
-  snapshot.repositories.reserve(filters_.size());
+  out.shards.resize(shard_counters_.size());
+  for (size_t shard = 0; shard < out.shards.size(); ++shard) {
+    const ShardCounters& counters = shard_counters_[shard];
+    out.shards[shard].enqueued = counters.enqueued.load(kRelaxed);
+    out.shards[shard].dequeued = counters.dequeued.load(kRelaxed);
+    out.shards[shard].max_depth = counters.max_depth.load(kRelaxed);
+    out.shards[shard].queue_wait_micros =
+        counters.queue_wait_micros.load(kRelaxed);
+    out.shards[shard].depth = queue_.Depth(shard);
+  }
+  // An unreadable error log reads as no backlog.
+  StatusOr<Backlog> backlog = PendingReplays();
+  out.repositories.reserve(filters_.size());
   for (RepositoryFilter* filter : filters_) {
     Stats::RepositoryStats repo;
     repo.name = filter->name();
@@ -1499,13 +1468,15 @@ UpdateManager::Stats UpdateManager::stats() const {
       repo.breaker = breaker->snapshot();
     }
     repo.health = filter->Health();
-    auto backlog = replay_backlog_.find(filter->name());
-    repo.replay_backlog = backlog == replay_backlog_.end()
-                              ? 0
-                              : backlog->second;
-    snapshot.repositories.push_back(std::move(repo));
+    if (backlog.ok()) {
+      auto pending = backlog->find(filter->name());
+      if (pending != backlog->end()) {
+        repo.replay_backlog = pending->second.size();
+      }
+    }
+    out.repositories.push_back(std::move(repo));
   }
-  return snapshot;
+  return out;
 }
 
 }  // namespace metacomm::core

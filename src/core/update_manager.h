@@ -1,6 +1,7 @@
 #ifndef METACOMM_CORE_UPDATE_MANAGER_H_
 #define METACOMM_CORE_UPDATE_MANAGER_H_
 
+#include <array>
 #include <atomic>
 #include <functional>
 #include <future>
@@ -245,7 +246,7 @@ class UpdateManager : public ltap::TriggerActionServer {
     uint64_t depth = 0;              // Depth sampled at stats() time.
   };
 
-  /// Counters for the experiment harnesses.
+  /// Counters for the experiment harnesses and cn=monitor.
   struct Stats {
     uint64_t ldap_updates = 0;       // Path A: via LTAP triggers.
     uint64_t device_updates = 0;     // Path B: DDUs processed.
@@ -282,7 +283,9 @@ class UpdateManager : public ltap::TriggerActionServer {
     };
     std::vector<RepositoryStats> repositories;
   };
-  Stats stats() const EXCLUDES(stats_mutex_);
+  /// Copies the counters, then samples queue depths, breakers,
+  /// repository health and the error log's replay backlog.
+  Stats stats() const;
 
   /// Items currently queued across every update-queue shard. Cheap
   /// enough for a per-request admission check — the wire server sheds
@@ -408,13 +411,11 @@ class UpdateManager : public ltap::TriggerActionServer {
   /// from a shutdown abandonment (intents stay pending and replay on
   /// restart; counted as shutdown_drained).
   void SettleUnit(const CoalescedUnit& unit, std::vector<WorkItem>& items,
-                  const Status& status, bool processed)
-      EXCLUDES(stats_mutex_);
+                  const Status& status, bool processed);
 
   /// Queue telemetry for one drain: batch size, and each item's
   /// dequeue and queue wait on its shard.
-  void RecordDrain(const std::vector<WorkItem>& batch)
-      EXCLUDES(stats_mutex_);
+  void RecordDrain(const std::vector<WorkItem>& batch);
 
   /// Writes an audit-only error entry (no replay target) and notifies
   /// the administrator. Directory aborts and planning failures land
@@ -458,12 +459,21 @@ class UpdateManager : public ltap::TriggerActionServer {
   /// Repair worker body: periodic RunRepairPass until Stop().
   void RepairLoop();
 
+  /// A replayable error-log entry: the logged failure and its DN.
+  using PendingReplay = std::pair<LoggedFailure, ldap::Dn>;
+  using Backlog = std::map<std::string, std::vector<PendingReplay>,
+                           CaseInsensitiveLess>;
+  /// The replay backlog, the one rule for what counts as backlog: the
+  /// replayable error-log entries of registered repositories, grouped
+  /// by repository in errorSeq order. Audit-only entries stay in the
+  /// log for the administrator. Empty without an error container.
+  StatusOr<Backlog> PendingReplays() const;
+
   /// Replays one repository's backlog in sequence order. Returns true
   /// when replay could not converge and the caller must fall back to
   /// Synchronize. `replayed_dns` collects the error entries to delete.
   bool ReplayRepository(RepositoryFilter* filter,
-                        const std::vector<LoggedFailure>& failures,
-                        const std::vector<ldap::Dn>& entry_dns,
+                        const std::vector<PendingReplay>& backlog,
                         std::vector<ldap::Dn>* replayed_dns);
 
   /// After a successful replay, folds device-minted attributes the
@@ -477,9 +487,8 @@ class UpdateManager : public ltap::TriggerActionServer {
   bool ReplayConverged(RepositoryFilter* filter,
                        const lexpress::UpdateDescriptor& update);
 
-  /// Deletes an error-log entry and maintains the backlog counter.
-  void DeleteErrorEntry(const ldap::Dn& dn, const std::string& repository)
-      EXCLUDES(stats_mutex_);
+  /// Deletes a replayed (or resynchronized) error-log entry.
+  void DeleteErrorEntry(const ldap::Dn& dn);
 
   /// Reverts already-applied device updates, newest first (saga
   /// extension).
@@ -492,7 +501,7 @@ class UpdateManager : public ltap::TriggerActionServer {
   /// Stamps the enqueue time, pushes onto the item's shard, and
   /// maintains the per-shard counters. False when the queue is closed
   /// (the caller still owns the item's locks).
-  bool Enqueue(WorkItem item) EXCLUDES(stats_mutex_);
+  bool Enqueue(WorkItem item);
 
   /// One worker per shard: drains that shard in strict FIFO order, so
   /// per-entry ordering holds while distinct entries run in parallel.
@@ -518,6 +527,15 @@ class UpdateManager : public ltap::TriggerActionServer {
       breakers_;
 
   ShardedBlockingQueue<WorkItem> queue_;
+  /// Relaxed atomics behind ShardStats, one per shard (sized once, in
+  /// the constructor). max_depth is a compare-exchange high-water mark.
+  struct ShardCounters {
+    std::atomic<uint64_t> enqueued{0};
+    std::atomic<uint64_t> dequeued{0};
+    std::atomic<uint64_t> max_depth{0};
+    std::atomic<uint64_t> queue_wait_micros{0};
+  };
+  std::vector<ShardCounters> shard_counters_;
   std::vector<std::thread> workers_;
   std::thread repair_thread_;
   std::atomic<bool> running_{false};
@@ -533,21 +551,36 @@ class UpdateManager : public ltap::TriggerActionServer {
 
   mutable Mutex admin_mutex_{LockRank::kUmAdmin, "um.admin"};
   AdminCallback admin_callback_ GUARDED_BY(admin_mutex_);
-  // stats_mutex_ is held while sampling queue depths, breaker
-  // snapshots and repository health (stats()), so it ranks before the
-  // shard, breaker and fault-injector locks.
-  mutable Mutex stats_mutex_{LockRank::kUmStats, "um.stats"};
-  Stats stats_ GUARDED_BY(stats_mutex_);
-  /// Replayable error-log entries not yet replayed, per repository.
-  std::map<std::string, uint64_t, CaseInsensitiveLess> replay_backlog_
-      GUARDED_BY(stats_mutex_);
+  /// Relaxed atomics behind the scalar Stats fields and the batch-size
+  /// histogram: every writer adds without a lock, stats() copies.
+  struct Counters {
+    std::atomic<uint64_t> ldap_updates{0};
+    std::atomic<uint64_t> device_updates{0};
+    std::atomic<uint64_t> device_applies{0};
+    std::atomic<uint64_t> reapplications{0};
+    std::atomic<uint64_t> generated_info{0};
+    std::atomic<uint64_t> errors{0};
+    std::atomic<uint64_t> undos{0};
+    std::atomic<uint64_t> closure_iterations{0};
+    std::atomic<uint64_t> syncs{0};
+    std::atomic<uint64_t> lock_retries{0};
+    std::atomic<uint64_t> shutdown_drained{0};
+    std::atomic<uint64_t> batches{0};
+    std::atomic<uint64_t> coalesced{0};
+    std::atomic<uint64_t> rtts_saved{0};
+    std::atomic<uint64_t> breaker_open_skips{0};
+    std::atomic<uint64_t> replayed{0};
+    std::atomic<uint64_t> repair_passes{0};
+    std::atomic<uint64_t> repair_syncs{0};
+    std::array<std::atomic<uint64_t>, 6> batch_size_buckets{};
+  };
+  Counters counters_;
   std::atomic<uint64_t> error_sequence_{0};
   /// One synchronization at a time. Held across gateway quiesce,
   /// directory writes and the whole repository fan-out, so it is the
   /// outermost lock of the core (see lock_rank.h).
-  Mutex sync_mutex_ ACQUIRED_BEFORE(shutdown_mutex_, admin_mutex_,
-                                    stats_mutex_){LockRank::kUmSync,
-                                                  "um.sync"};
+  Mutex sync_mutex_ ACQUIRED_BEFORE(shutdown_mutex_, admin_mutex_){
+      LockRank::kUmSync, "um.sync"};
 };
 
 }  // namespace metacomm::core

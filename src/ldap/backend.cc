@@ -16,19 +16,6 @@ namespace {
 
 using TreeNodePtr = std::shared_ptr<const Backend::TreeNode>;
 
-Entry Project(const Entry& entry,
-              const std::vector<std::string>& attributes) {
-  if (attributes.empty()) return entry;
-  Entry out(entry.dn());
-  for (const std::string& name : attributes) {
-    auto it = entry.attributes().find(name);
-    if (it != entry.attributes().end()) {
-      out.Set(it->second.name(), it->second.values());
-    }
-  }
-  return out;
-}
-
 /// Normalized index keys of `values`, sorted and deduplicated (values
 /// such as "Foo Bar" and "foo  bar" share one key).
 std::vector<std::string> IndexKeys(const std::vector<std::string>& values) {
@@ -169,7 +156,7 @@ void CollectScan(const Backend::TreeNode* node, const SearchRequest& request,
     return;
   }
   if (request.filter.Matches(node->entry)) {
-    out->push_back(Project(node->entry, request.attributes));
+    out->push_back(node->entry.Project(request.attributes));
   }
   node->children.ForEach(
       [&](const std::string&, const TreeNodePtr& child) {
@@ -615,7 +602,7 @@ StatusOr<SearchResult> Backend::Search(const SearchRequest& request) const {
   switch (request.scope) {
     case Scope::kBase:
       if (!request.base.IsRoot() && request.filter.Matches(base->entry)) {
-        result.entries.push_back(Project(base->entry, request.attributes));
+        result.entries.push_back(base->entry.Project(request.attributes));
       }
       break;
     case Scope::kOneLevel: {
@@ -629,7 +616,7 @@ StatusOr<SearchResult> Backend::Search(const SearchRequest& request) const {
               return false;
             }
             result.entries.push_back(
-                Project(child->entry, request.attributes));
+                child->entry.Project(request.attributes));
             return true;
           });
       if (!limit_status.ok()) return limit_status;
@@ -661,7 +648,7 @@ StatusOr<SearchResult> Backend::Search(const SearchRequest& request) const {
                 matched, std::memory_order_relaxed);
             return Status::DeadlineExceeded("size limit exceeded");
           }
-          result.entries.push_back(Project(node->entry, request.attributes));
+          result.entries.push_back(node->entry.Project(request.attributes));
         }
         read_stats_.candidates_matched.fetch_add(matched,
                                                  std::memory_order_relaxed);

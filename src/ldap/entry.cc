@@ -75,6 +75,18 @@ void Entry::AddObjectClass(std::string object_class) {
   AddValue("objectClass", std::move(object_class));
 }
 
+Entry Entry::Project(const std::vector<std::string>& attributes) const {
+  if (attributes.empty()) return *this;
+  Entry out(dn_);
+  for (const std::string& name : attributes) {
+    auto it = attributes_.find(name);
+    if (it != attributes_.end()) {
+      out.Set(it->second.name(), it->second.values());
+    }
+  }
+  return out;
+}
+
 bool operator==(const Entry& a, const Entry& b) {
   if (!(a.dn_ == b.dn_)) return false;
   if (a.attributes_.size() != b.attributes_.size()) return false;

@@ -61,6 +61,10 @@ class Entry {
   /// Appends an objectClass value if not present.
   void AddObjectClass(std::string object_class);
 
+  /// This entry restricted to `attributes` (a Search's attribute list);
+  /// an empty list keeps every attribute.
+  Entry Project(const std::vector<std::string>& attributes) const;
+
   /// Entries are equal when DNs match and attribute sets match
   /// (set semantics per attribute).
   friend bool operator==(const Entry& a, const Entry& b);

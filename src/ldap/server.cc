@@ -14,6 +14,49 @@ void LdapServer::AddUser(const Dn& dn, std::string password) {
   users_[dn.Normalized()] = std::move(password);
 }
 
+void LdapServer::SetRenderedSubtree(Dn base, RenderFn render) {
+  rendered_base_ = std::move(base);
+  render_ = std::move(render);
+}
+
+bool LdapServer::IsRendered(const Dn& dn) const {
+  return render_ != nullptr && dn.IsWithin(rendered_base_);
+}
+
+StatusOr<SearchResult> LdapServer::SearchRendered(
+    const SearchRequest& request) const {
+  SearchResult result;
+  bool base_exists = false;
+  for (const Entry& entry : render_()) {
+    if (!entry.dn().IsWithin(request.base)) continue;
+    const size_t below = entry.dn().depth() - request.base.depth();
+    if (below == 0) base_exists = true;
+    if ((request.scope == Scope::kBase && below != 0) ||
+        (request.scope == Scope::kOneLevel && below != 1) ||
+        !request.filter.Matches(entry)) {
+      continue;
+    }
+    if (request.size_limit > 0 &&
+        result.entries.size() >= request.size_limit) {
+      return Status::DeadlineExceeded("size limit exceeded");
+    }
+    result.entries.push_back(entry.Project(request.attributes));
+  }
+  if (!base_exists) {
+    return Status::NotFound("no such object: " + request.base.ToString());
+  }
+  return result;
+}
+
+StatusOr<Entry> LdapServer::Read(const Dn& dn) const {
+  if (!IsRendered(dn)) return backend_.Get(dn);
+  SearchRequest request;
+  request.base = dn;
+  request.scope = Scope::kBase;
+  METACOMM_ASSIGN_OR_RETURN(SearchResult result, SearchRendered(request));
+  return std::move(result.entries.front());
+}
+
 Status LdapServer::CheckWriteAccess(const OpContext& ctx,
                                     const Dn& target) const {
   if (ctx.internal) return Status::Ok();  // The Update Manager.
@@ -58,7 +101,9 @@ Status LdapServer::ModifyRdn(const OpContext& ctx,
 StatusOr<SearchResult> LdapServer::Search(const OpContext& ctx,
                                           const SearchRequest& request) {
   METACOMM_ASSIGN_OR_RETURN(SearchResult result,
-                            backend_.Search(request));
+                            IsRendered(request.base)
+                                ? SearchRendered(request)
+                                : backend_.Search(request));
   // With ACLs, entries the principal may not read silently drop out
   // of the result, like production directory servers behave.
   if (config_.acl.has_value() && !ctx.internal) {
@@ -81,7 +126,7 @@ Status LdapServer::Compare(const OpContext& ctx,
     return Status::PermissionDenied("insufficient access to " +
                                     request.dn.ToString());
   }
-  METACOMM_ASSIGN_OR_RETURN(Entry entry, backend_.Get(request.dn));
+  METACOMM_ASSIGN_OR_RETURN(Entry entry, Read(request.dn));
   auto it = entry.attributes().find(request.attribute);
   if (it == entry.attributes().end()) {
     return Status::NotFound("no such attribute: " + request.attribute);

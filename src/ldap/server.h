@@ -1,6 +1,7 @@
 #ifndef METACOMM_LDAP_SERVER_H_
 #define METACOMM_LDAP_SERVER_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -52,6 +53,16 @@ class LdapServer : public LdapService {
 
   const Schema& schema() const { return schema_; }
 
+  /// Entries computed when read instead of stored. Setup-only, like
+  /// LtapGateway::RegisterTrigger: a Search or Compare whose base is
+  /// `base` or lies beneath it is answered from `render()`, with the
+  /// same scope, filter and ACL rules as stored entries. Nothing under
+  /// `base` is ever written, and a subtree search based above it does
+  /// not list these entries (they form their own naming context, like
+  /// OpenLDAP's back-monitor). MetaComm renders cn=monitor this way.
+  using RenderFn = std::function<std::vector<Entry>()>;
+  void SetRenderedSubtree(Dn base, RenderFn render);
+
   // LdapService:
   Status Add(const OpContext& ctx, const AddRequest& request) override;
   Status Delete(const OpContext& ctx, const DeleteRequest& request) override;
@@ -67,9 +78,21 @@ class LdapServer : public LdapService {
  private:
   Status CheckWriteAccess(const OpContext& ctx, const Dn& target) const;
 
+  /// True when `dn` lies in the rendered subtree.
+  bool IsRendered(const Dn& dn) const;
+  /// Backend::Search semantics (scope, filter, size limit, NotFound
+  /// for a missing base) over the rendered entries.
+  StatusOr<SearchResult> SearchRendered(const SearchRequest& request) const;
+  /// One entry by DN, stored or rendered.
+  StatusOr<Entry> Read(const Dn& dn) const;
+
   Schema schema_;
   ServerConfig config_;
   Backend backend_;
+  // Deliberately unguarded: SetRenderedSubtree is setup-only; after
+  // setup both are only ever read.
+  Dn rendered_base_;
+  RenderFn render_;
   Mutex users_mutex_{LockRank::kLdapServerUsers, "ldap.server.users"};
   // normalized DN -> password
   std::map<std::string, std::string> users_ GUARDED_BY(users_mutex_);

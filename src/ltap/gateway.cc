@@ -106,10 +106,7 @@ void LtapGateway::UnlockEntry(const ldap::Dn& dn, uint64_t session) {
 Status LtapGateway::EnterUpdate(uint64_t session) {
   MutexLock lock(&state_mutex_);
   if (quiesced_by_ != 0 && quiesced_by_ != session) {
-    {
-      MutexLock stats_lock(&stats_mutex_);
-      ++stats_.quiesce_waits;
-    }
+    counters_.quiesce_waits.fetch_add(1, std::memory_order_relaxed);
     auto deadline = std::chrono::steady_clock::now() +
                     std::chrono::microseconds(config_.quiesce_wait_micros);
     while (quiesced_by_ != 0 && quiesced_by_ != session) {
@@ -120,6 +117,7 @@ Status LtapGateway::EnterUpdate(uint64_t session) {
     }
   }
   ++in_flight_updates_;
+  counters_.updates.fetch_add(1, std::memory_order_relaxed);
   return Status::Ok();
 }
 
@@ -129,14 +127,6 @@ void LtapGateway::ExitUpdate() {
     --in_flight_updates_;
   }
   state_cv_.NotifyAll();
-}
-
-void LtapGateway::CountInternalOp() {
-  // The internal fast paths call straight into the backend; the
-  // counter bump must not hold stats_mutex_ (rank kGatewayStats)
-  // across that call — the backend write lock ranks before it.
-  MutexLock lock(&stats_mutex_);
-  ++stats_.internal_ops;
 }
 
 std::optional<ldap::Entry> LtapGateway::Snapshot(const ldap::Dn& dn) {
@@ -159,16 +149,12 @@ Status LtapGateway::FireTriggers(TriggerTiming timing,
   for (const TriggerSpec& spec : triggers_) {
     if (spec.timing != timing) continue;
     if (!TriggerMatches(spec, notification.op, match_image)) continue;
-    {
-      MutexLock lock(&stats_mutex_);
-      ++stats_.triggers_fired;
-    }
+    counters_.triggers_fired.fetch_add(1, std::memory_order_relaxed);
     Status status = spec.server->OnUpdate(notification);
     if (!status.ok() && first_error.ok()) {
       first_error = status;
       if (timing == TriggerTiming::kBefore) {
-        MutexLock lock(&stats_mutex_);
-        ++stats_.vetoes;
+        counters_.vetoes.fetch_add(1, std::memory_order_relaxed);
         break;  // A veto aborts the operation; later triggers are moot.
       }
     }
@@ -179,7 +165,7 @@ Status LtapGateway::FireTriggers(TriggerTiming timing,
 Status LtapGateway::Add(const ldap::OpContext& ctx,
                         const ldap::AddRequest& request) {
   if (ctx.internal) {
-    CountInternalOp();
+    counters_.internal_ops.fetch_add(1, std::memory_order_relaxed);
     return backend_->Add(ctx, request);
   }
   METACOMM_RETURN_IF_ERROR(EnterUpdate(ctx.session_id));
@@ -187,10 +173,6 @@ Status LtapGateway::Add(const ldap::OpContext& ctx,
     LtapGateway* gw;
     ~ExitGuard() { gw->ExitUpdate(); }
   } exit_guard{this};
-  {
-    MutexLock lock(&stats_mutex_);
-    ++stats_.updates;
-  }
 
   const ldap::Dn& dn = request.entry.dn();
   if (config_.locking_enabled) {
@@ -221,7 +203,7 @@ Status LtapGateway::Add(const ldap::OpContext& ctx,
 Status LtapGateway::Delete(const ldap::OpContext& ctx,
                            const ldap::DeleteRequest& request) {
   if (ctx.internal) {
-    CountInternalOp();
+    counters_.internal_ops.fetch_add(1, std::memory_order_relaxed);
     return backend_->Delete(ctx, request);
   }
   METACOMM_RETURN_IF_ERROR(EnterUpdate(ctx.session_id));
@@ -229,10 +211,6 @@ Status LtapGateway::Delete(const ldap::OpContext& ctx,
     LtapGateway* gw;
     ~ExitGuard() { gw->ExitUpdate(); }
   } exit_guard{this};
-  {
-    MutexLock lock(&stats_mutex_);
-    ++stats_.updates;
-  }
 
   if (config_.locking_enabled) {
     METACOMM_RETURN_IF_ERROR(locks_.Acquire(request.dn, ctx.session_id,
@@ -266,7 +244,7 @@ Status LtapGateway::Delete(const ldap::OpContext& ctx,
 Status LtapGateway::Modify(const ldap::OpContext& ctx,
                            const ldap::ModifyRequest& request) {
   if (ctx.internal) {
-    CountInternalOp();
+    counters_.internal_ops.fetch_add(1, std::memory_order_relaxed);
     return backend_->Modify(ctx, request);
   }
   METACOMM_RETURN_IF_ERROR(EnterUpdate(ctx.session_id));
@@ -274,10 +252,6 @@ Status LtapGateway::Modify(const ldap::OpContext& ctx,
     LtapGateway* gw;
     ~ExitGuard() { gw->ExitUpdate(); }
   } exit_guard{this};
-  {
-    MutexLock lock(&stats_mutex_);
-    ++stats_.updates;
-  }
 
   if (config_.locking_enabled) {
     METACOMM_RETURN_IF_ERROR(locks_.Acquire(request.dn, ctx.session_id,
@@ -316,7 +290,7 @@ Status LtapGateway::Modify(const ldap::OpContext& ctx,
 Status LtapGateway::ModifyRdn(const ldap::OpContext& ctx,
                               const ldap::ModifyRdnRequest& request) {
   if (ctx.internal) {
-    CountInternalOp();
+    counters_.internal_ops.fetch_add(1, std::memory_order_relaxed);
     return backend_->ModifyRdn(ctx, request);
   }
   METACOMM_RETURN_IF_ERROR(EnterUpdate(ctx.session_id));
@@ -324,10 +298,6 @@ Status LtapGateway::ModifyRdn(const ldap::OpContext& ctx,
     LtapGateway* gw;
     ~ExitGuard() { gw->ExitUpdate(); }
   } exit_guard{this};
-  {
-    MutexLock lock(&stats_mutex_);
-    ++stats_.updates;
-  }
 
   ldap::Dn new_dn = request.dn.WithLeaf(request.new_rdn);
   if (config_.locking_enabled) {
@@ -377,15 +347,14 @@ StatusOr<ldap::SearchResult> LtapGateway::Search(
     const ldap::OpContext& ctx, const ldap::SearchRequest& request) {
   // Reads bypass locking, triggers and quiesce — the gateway/UM
   // separation exists so the UM machine "does not need to do any read
-  // processing" (paper §5.5). The counter is atomic for the same
-  // reason: the read path takes no mutex anywhere.
-  reads_.fetch_add(1, std::memory_order_relaxed);
+  // processing" (paper §5.5).
+  counters_.reads.fetch_add(1, std::memory_order_relaxed);
   return backend_->Search(ctx, request);
 }
 
 Status LtapGateway::Compare(const ldap::OpContext& ctx,
                             const ldap::CompareRequest& request) {
-  reads_.fetch_add(1, std::memory_order_relaxed);
+  counters_.reads.fetch_add(1, std::memory_order_relaxed);
   return backend_->Compare(ctx, request);
 }
 
@@ -394,12 +363,14 @@ StatusOr<std::string> LtapGateway::Bind(const ldap::BindRequest& request) {
 }
 
 LtapGateway::Stats LtapGateway::stats() const {
+  constexpr std::memory_order kRelaxed = std::memory_order_relaxed;
   Stats out;
-  {
-    MutexLock lock(&stats_mutex_);
-    out = stats_;
-  }
-  out.reads = reads_.load(std::memory_order_relaxed);
+  out.updates = counters_.updates.load(kRelaxed);
+  out.reads = counters_.reads.load(kRelaxed);
+  out.internal_ops = counters_.internal_ops.load(kRelaxed);
+  out.triggers_fired = counters_.triggers_fired.load(kRelaxed);
+  out.vetoes = counters_.vetoes.load(kRelaxed);
+  out.quiesce_waits = counters_.quiesce_waits.load(kRelaxed);
   return out;
 }
 

@@ -88,9 +88,7 @@ class LtapGateway : public ldap::LdapService {
                    int64_t timeout_micros);
   void UnlockEntry(const ldap::Dn& dn, uint64_t session);
 
-  /// Operation counters (drive the E7 benches). `reads` is maintained
-  /// as a lone atomic so the read path never touches stats_mutex_
-  /// (reads are lock-free end to end through the snapshot backend).
+  /// Operation counters (drive the E7 benches).
   struct Stats {
     uint64_t updates = 0;
     uint64_t reads = 0;
@@ -99,7 +97,7 @@ class LtapGateway : public ldap::LdapService {
     uint64_t vetoes = 0;
     uint64_t quiesce_waits = 0;
   };
-  Stats stats() const EXCLUDES(stats_mutex_);
+  Stats stats() const;
 
   const LockTable& lock_table() const { return locks_; }
 
@@ -120,14 +118,10 @@ class LtapGateway : public ldap::LdapService {
   StatusOr<std::string> Bind(const ldap::BindRequest& request) override;
 
  private:
-  /// Blocks while a quiesce window owned by another session is open,
-  /// then registers an in-flight update. Returns Busy on timeout.
+  /// Blocks while another session's quiesce window is open, then
+  /// registers and counts an in-flight update. Conflict on timeout.
   Status EnterUpdate(uint64_t session) EXCLUDES(state_mutex_);
   void ExitUpdate() EXCLUDES(state_mutex_);
-
-  /// Counts an internal (Update-Manager fan-in) operation in its own
-  /// lock scope so stats_mutex_ is never held across the backend call.
-  void CountInternalOp() EXCLUDES(stats_mutex_);
 
   /// Fetches the current entry image at `dn` from the backend (using
   /// an internal read), or nullopt when absent.
@@ -147,20 +141,24 @@ class LtapGateway : public ldap::LdapService {
   // only ever read.
   std::vector<TriggerSpec> triggers_;
 
-  // state_mutex_ is acquired before stats_mutex_ (EnterUpdate counts a
-  // quiesce wait while holding it); no path takes them in reverse.
-  mutable Mutex state_mutex_ ACQUIRED_BEFORE(stats_mutex_){
-      LockRank::kGatewayState, "ltap.gateway.state"};
+  mutable Mutex state_mutex_{LockRank::kGatewayState,
+                             "ltap.gateway.state"};
   CondVar state_cv_;
   uint64_t quiesced_by_ GUARDED_BY(state_mutex_) = 0;  // 0 = not quiesced.
   int in_flight_updates_ GUARDED_BY(state_mutex_) = 0;
 
   std::atomic<uint64_t> next_session_{1};
-  mutable Mutex stats_mutex_{LockRank::kGatewayStats,
-                             "ltap.gateway.stats"};
-  /// Update-side counters; Stats::reads is unused here (see reads_).
-  Stats stats_ GUARDED_BY(stats_mutex_);
-  std::atomic<uint64_t> reads_{0};
+  /// Relaxed atomics behind Stats: counted without a lock, copied by
+  /// stats().
+  struct Counters {
+    std::atomic<uint64_t> updates{0};
+    std::atomic<uint64_t> reads{0};
+    std::atomic<uint64_t> internal_ops{0};
+    std::atomic<uint64_t> triggers_fired{0};
+    std::atomic<uint64_t> vetoes{0};
+    std::atomic<uint64_t> quiesce_waits{0};
+  };
+  Counters counters_;
 };
 
 }  // namespace metacomm::ltap

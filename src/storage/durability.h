@@ -53,8 +53,8 @@ namespace metacomm::storage {
 /// backend's single-writer critical section free of I/O.
 class DurabilityManager {
  public:
-  /// What recovery found and did. Mirrored into the monitor and the
-  /// serve tool's startup banner.
+  /// What recovery found and did; the serve tool prints it in its
+  /// startup banner (cn=monitor has no storage section yet).
   struct RecoveryStats {
     uint64_t snapshot_version = 0;  // 0: started from nothing/LDIF.
     size_t snapshot_entries = 0;

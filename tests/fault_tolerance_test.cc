@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -324,7 +325,6 @@ TEST_F(FaultToleranceTest, BreakerOpensAndHealthyPathContinues) {
   EXPECT_EQ(station->GetFirst("Room"), "2C-120");
 
   // The monitor publishes the degraded state.
-  ASSERT_TRUE(system_->monitor().Refresh().ok());
   auto health = client.Get("cn=um-health-mp1,cn=monitor,o=Lucent");
   ASSERT_TRUE(health.ok()) << health.status();
   bool saw_state = false;
@@ -332,6 +332,50 @@ TEST_F(FaultToleranceTest, BreakerOpensAndHealthyPathContinues) {
     if (info == "breakerState=open") saw_state = true;
   }
   EXPECT_TRUE(saw_state);
+}
+
+/// The replay backlog is the error log's own count, so it comes back
+/// with the log: after a restart on the same data dir the five failed
+/// updates are still replayable entries under cn=errors, and the
+/// counter must say so instead of restarting from zero.
+TEST_F(FaultToleranceTest, ReplayBacklogSurvivesRestart) {
+  const std::string data_dir =
+      std::string(::testing::TempDir()) + "/metacomm_backlog_restart";
+  std::filesystem::remove_all(data_dir);
+  SystemConfig config;
+  config.durability.data_dir = data_dir;
+  config.durability.checkpoint_interval_micros = 0;
+  Build(config);
+  ASSERT_TRUE(system_
+                  ->AddPerson("John Doe",
+                              {{"telephoneNumber", "+1 908 582 4567"}})
+                  .ok());
+  system_->mp("mp1")->faults().set_disconnected(true);
+  {
+    ldap::Client client = system_->NewClient();
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(client
+                      .Replace("cn=John Doe,ou=People,o=Lucent", "MpPin",
+                               "100" + std::to_string(i))
+                      .ok());
+    }
+  }
+  EXPECT_EQ(BacklogFor("mp1"), 5u);
+
+  system_.reset();
+  Build(config);
+  uint64_t replayable = 0;
+  for (const ldap::Entry& entry : ErrorEntries()) {
+    StatusOr<LoggedFailure> failure = ParseErrorEntry(entry);
+    if (failure.ok() && failure->replayable() &&
+        failure->repository == "mp1") {
+      ++replayable;
+    }
+  }
+  EXPECT_EQ(replayable, 5u);
+  EXPECT_EQ(BacklogFor("mp1"), replayable);
+  system_.reset();
+  std::filesystem::remove_all(data_dir);
 }
 
 TEST_F(FaultToleranceTest, RepairReplaysBacklogInOrderAndConverges) {

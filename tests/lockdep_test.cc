@@ -30,7 +30,7 @@ namespace {
 
 // The validator tracks rank VALUES, not which enum member supplied
 // them; the real table's members double as test ranks
-// (kUmSync=200 "low", kUmStats=520 "mid", kLeaf=990 "high").
+// (kUmSync=200 "low", kUmAdmin=510 "mid", kLeaf=990 "high").
 
 class LockdepTest : public ::testing::Test {
  protected:
@@ -44,7 +44,7 @@ class LockdepTest : public ::testing::Test {
 
 TEST_F(LockdepTest, CleanAscendingNestingPasses) {
   Mutex outer(LockRank::kUmSync, "test.clean.outer");
-  Mutex mid(LockRank::kUmStats, "test.clean.mid");
+  Mutex mid(LockRank::kUmAdmin, "test.clean.mid");
   Mutex inner(LockRank::kLeaf, "test.clean.inner");
   EXPECT_EQ(lockdep::HeldCount(), 0u);
   {
@@ -76,7 +76,7 @@ TEST_F(LockdepTest, SeededInversionDiesWithBothStacks) {
   EXPECT_DEATH(
       {
         Mutex a(LockRank::kUmSync, "test.inv.a");
-        Mutex b(LockRank::kUmStats, "test.inv.b");
+        Mutex b(LockRank::kUmAdmin, "test.inv.b");
         {
           MutexLock la(&a);
           MutexLock lb(&b);  // Records edge test.inv.a -> test.inv.b.
@@ -97,7 +97,7 @@ TEST_F(LockdepTest, CrossThreadInversionDies) {
   EXPECT_DEATH(
       {
         Mutex a(LockRank::kUmSync, "test.xinv.a");
-        Mutex b(LockRank::kUmStats, "test.xinv.b");
+        Mutex b(LockRank::kUmAdmin, "test.xinv.b");
         std::thread recorder([&] {
           MutexLock la(&a);
           MutexLock lb(&b);
@@ -118,7 +118,7 @@ TEST_F(LockdepTest, RankRegressionWithoutPriorEdgeDies) {
   EXPECT_DEATH(
       {
         Mutex low(LockRank::kUmSync, "test.reg.low");
-        Mutex high(LockRank::kUmStats, "test.reg.high");
+        Mutex high(LockRank::kUmAdmin, "test.reg.high");
         MutexLock lh(&high);
         MutexLock ll(&low);
       },
@@ -147,7 +147,7 @@ TEST_F(LockdepTest, RecursiveAcquisitionDies) {
 }
 
 TEST_F(LockdepTest, TryLockTracksHeldState) {
-  Mutex mu(LockRank::kUmStats, "test.try");
+  Mutex mu(LockRank::kUmAdmin, "test.try");
   ASSERT_TRUE(mu.TryLock());
   EXPECT_EQ(lockdep::HeldCount(), 1u);
   mu.Unlock();
@@ -155,7 +155,7 @@ TEST_F(LockdepTest, TryLockTracksHeldState) {
 }
 
 TEST_F(LockdepTest, FailedTryLockLeavesNoHeldEntry) {
-  Mutex mu(LockRank::kUmStats, "test.tryfail");
+  Mutex mu(LockRank::kUmAdmin, "test.tryfail");
   mu.Lock();
   std::thread other([&] {
     EXPECT_FALSE(mu.TryLock());
@@ -170,17 +170,17 @@ TEST_F(LockdepTest, TryLockSuccessConstrainsLaterAcquisitions) {
   // the held entry it pushes still forbids descending follow-ups.
   EXPECT_DEATH(
       {
-        Mutex inner(LockRank::kUmStats, "test.tryheld.inner");
+        Mutex inner(LockRank::kUmAdmin, "test.tryheld.inner");
         Mutex outer(LockRank::kUmSync, "test.tryheld.outer");
         ASSERT_TRUE(inner.TryLock());
-        MutexLock lock(&outer);  // LockRank::kUmSync under LockRank::kUmStats: dies.
+        MutexLock lock(&outer);  // LockRank::kUmSync under LockRank::kUmAdmin: dies.
       },
       "rank regression");
 }
 
 TEST_F(LockdepTest, TryLockThenAscendingBlockingAcquirePasses) {
   Mutex outer(LockRank::kUmSync, "test.tryasc.outer");
-  Mutex inner(LockRank::kUmStats, "test.tryasc.inner");
+  Mutex inner(LockRank::kUmAdmin, "test.tryasc.inner");
   ASSERT_TRUE(outer.TryLock());
   {
     MutexLock lock(&inner);
@@ -191,7 +191,7 @@ TEST_F(LockdepTest, TryLockThenAscendingBlockingAcquirePasses) {
 }
 
 TEST_F(LockdepTest, CondVarWaitReleasesAndReacquires) {
-  Mutex mu(LockRank::kUmStats, "test.cv");
+  Mutex mu(LockRank::kUmAdmin, "test.cv");
   CondVar cv;
   MutexLock lock(&mu);
   EXPECT_EQ(lockdep::HeldCount(), 1u);
@@ -204,7 +204,7 @@ TEST_F(LockdepTest, CondVarWaitReleasesAndReacquires) {
 TEST_F(LockdepTest, OutOfOrderReleaseIsLegal) {
   // Unlock order need not mirror lock order (hand-over-hand).
   Mutex outer(LockRank::kUmSync, "test.ooo.outer");
-  Mutex inner(LockRank::kUmStats, "test.ooo.inner");
+  Mutex inner(LockRank::kUmAdmin, "test.ooo.inner");
   outer.Lock();
   inner.Lock();
   outer.Unlock();
@@ -216,7 +216,7 @@ TEST_F(LockdepTest, OutOfOrderReleaseIsLegal) {
 TEST_F(LockdepTest, EdgeGraphAccumulates) {
   size_t before = lockdep::RecordedEdges();
   Mutex a(LockRank::kUmSync, "test.edges.a");
-  Mutex b(LockRank::kUmStats, "test.edges.b");
+  Mutex b(LockRank::kUmAdmin, "test.edges.b");
   MutexLock la(&a);
   MutexLock lb(&b);
   EXPECT_GT(lockdep::RecordedEdges(), before);

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <sstream>
+
 #include "core/metacomm.h"
+#include "ldap/text_protocol.h"
+#include "net/tcp_client.h"
+#include "net/tcp_server.h"
+#include "storage/ldif_file.h"
 
 namespace metacomm::core {
 namespace {
@@ -31,7 +38,6 @@ class MonitorTest : public ::testing::Test {
 };
 
 TEST_F(MonitorTest, RefreshPublishesAllSections) {
-  ASSERT_TRUE(system_->monitor().Refresh().ok());
   ldap::Client client = system_->NewClient();
   auto entries = client.Search("cn=monitor,o=Lucent",
                                "(objectClass=monitoredObject)");
@@ -59,7 +65,6 @@ TEST_F(MonitorTest, CountersTrackActivity) {
                   ->AddPerson("John Doe",
                               {{"telephoneNumber", "+1 908 582 4567"}})
                   .ok());
-  ASSERT_TRUE(system_->monitor().Refresh().ok());
 
   ldap::Client client = system_->NewClient();
   auto um = client.Get("cn=update-manager,cn=monitor,o=Lucent");
@@ -78,17 +83,15 @@ TEST_F(MonitorTest, CountersTrackActivity) {
 }
 
 TEST_F(MonitorTest, RefreshIsRepeatableAndUpdatesInPlace) {
-  ASSERT_TRUE(system_->monitor().Refresh().ok());
   ldap::Client client = system_->NewClient();
   auto before = client.Get("cn=gateway,cn=monitor,o=Lucent");
   ASSERT_TRUE(before.ok());
   std::string reads_before = Counter(*before, "reads");
 
-  // Generate read traffic, refresh again: same entry, new numbers.
+  // Generate read traffic, read again: same entry, new numbers.
   for (int i = 0; i < 5; ++i) {
     (void)client.Get("cn=monitor,o=Lucent");
   }
-  ASSERT_TRUE(system_->monitor().Refresh().ok());
   auto after = client.Get("cn=gateway,cn=monitor,o=Lucent");
   ASSERT_TRUE(after.ok());
   EXPECT_NE(Counter(*after, "reads"), reads_before);
@@ -99,12 +102,116 @@ TEST_F(MonitorTest, RefreshIsRepeatableAndUpdatesInPlace) {
   EXPECT_EQ(entries->size(), 9u);  // No duplicates.
 }
 
-TEST_F(MonitorTest, MonitorWritesDoNotTriggerPropagation) {
-  ASSERT_TRUE(system_->monitor().Refresh().ok());
-  // Monitor entries live outside ou=People and are written to the
-  // backend directly, so the UM never sees them as updates.
-  EXPECT_EQ(system_->update_manager().stats().ldap_updates, 0u);
-  EXPECT_EQ(system_->pbx("pbx1")->StationCount(), 0u);
+TEST_F(MonitorTest, ScopeFilterAndMissingEntriesFollowLdap) {
+  ldap::Client client = system_->NewClient();
+  auto children = client.Search("cn=monitor,o=Lucent", "(objectClass=*)",
+                                ldap::Scope::kOneLevel);
+  ASSERT_TRUE(children.ok()) << children.status();
+  EXPECT_EQ(children->size(), 8u);  // Every section, not the container.
+  auto container = client.Search("cn=monitor,o=Lucent", "(objectClass=*)",
+                                 ldap::Scope::kBase);
+  ASSERT_TRUE(container.ok());
+  ASSERT_EQ(container->size(), 1u);
+  EXPECT_EQ(container->front().GetFirst("cn"), "monitor");
+  auto shards = client.Search("cn=monitor,o=Lucent", "(cn=um-shard-*)");
+  ASSERT_TRUE(shards.ok());
+  EXPECT_EQ(shards->size(), 1u);
+
+  auto missing = client.Get("cn=no-such-section,cn=monitor,o=Lucent");
+  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+  // A search based above cn=monitor reads only stored entries.
+  auto suffix = client.Search("o=Lucent", "(objectClass=monitoredObject)");
+  ASSERT_TRUE(suffix.ok());
+  EXPECT_TRUE(suffix->empty());
+}
+
+/// Looking at the monitor must not write into the directory it
+/// reports on: no commit, no WAL record, no propagation.
+TEST(MonitorReadOnlyTest, ReadingTheMonitorWritesNothing) {
+  const std::string data_dir =
+      std::string(::testing::TempDir()) + "/metacomm_monitor_read_only";
+  std::filesystem::remove_all(data_dir);
+  SystemConfig config;
+  config.durability.data_dir = data_dir;
+  config.durability.checkpoint_interval_micros = 0;
+  {
+    auto created = MetaCommSystem::Create(config);
+    ASSERT_TRUE(created.ok()) << created.status();
+    MetaCommSystem& system = **created;
+    storage::Wal* wal = system.durability()->wal();
+    const uint64_t lsn_before = wal->next_lsn();
+    const uint64_t changes_before = system.server().backend().ChangeCount();
+    const std::string ldif_before =
+        storage::ExportLdif(system.server().backend());
+
+    ldap::Client client = system.NewClient();
+    for (int round = 0; round < 3; ++round) {
+      auto entries = client.Search("cn=monitor,o=Lucent", "(objectClass=*)");
+      ASSERT_TRUE(entries.ok()) << entries.status();
+      ASSERT_EQ(entries->size(), 9u);
+      for (const ldap::Entry& entry : *entries) {
+        auto got = client.Get(entry.dn().ToString());
+        ASSERT_TRUE(got.ok()) << got.status();
+        EXPECT_EQ(got->GetFirst("cn"), entry.GetFirst("cn"));
+      }
+      auto same = client.Compare("cn=um-health-pbx1,cn=monitor,o=Lucent",
+                                 "monitorInfo", "breakerState=closed");
+      ASSERT_TRUE(same.ok()) << same.status();
+      EXPECT_TRUE(*same);
+    }
+
+    EXPECT_EQ(wal->next_lsn(), lsn_before);
+    EXPECT_EQ(system.server().backend().ChangeCount(), changes_before);
+    EXPECT_EQ(storage::ExportLdif(system.server().backend()), ldif_before);
+    EXPECT_EQ(system.update_manager().stats().ldap_updates, 0u);
+    EXPECT_EQ(system.pbx("pbx1")->StationCount(), 0u);
+  }
+  std::filesystem::remove_all(data_dir);
+}
+
+/// Number of entries in a text-protocol SEARCH reply.
+size_t EntriesInReply(const std::string& reply) {
+  std::istringstream lines(reply);
+  size_t count = 0;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("dn: ", 0) == 0) ++count;
+  }
+  return count;
+}
+
+/// cn=monitor over TCP, wired the way metacomm_serve serves the
+/// gateway: live on every read, with nothing refreshing it.
+TEST_F(MonitorTest, LiveOverTheWire) {
+  ldap::LdapService* gateway = &system_->gateway();
+  net::TcpServerConfig config;
+  config.busy_reply = ldap::BusyReply();
+  config.error_reply = ldap::FramingErrorReply();
+  net::TcpServer server(std::move(config), [gateway] {
+    auto session = std::make_shared<ldap::TextProtocolHandler>(gateway);
+    return [session](const std::string& request) {
+      return session->Handle(request);
+    };
+  });
+  ASSERT_TRUE(server.Start().ok());
+  net::TcpClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+
+  const std::string search = "SEARCH base: cn=monitor,o=Lucent\nscope: sub\n";
+  std::string reply = client.Call(search);
+  ASSERT_EQ(reply.rfind("RESULT 0", 0), 0u) << reply;
+  EXPECT_EQ(EntriesInReply(reply), 9u) << reply;
+  EXPECT_NE(reply.find("monitorInfo: ldapUpdates=0"), std::string::npos);
+
+  ASSERT_TRUE(system_
+                  ->AddPerson("John Doe",
+                              {{"telephoneNumber", "+1 908 582 4567"}})
+                  .ok());
+  reply = client.Call(search);
+  ASSERT_EQ(reply.rfind("RESULT 0", 0), 0u) << reply;
+  EXPECT_EQ(EntriesInReply(reply), 9u);
+  EXPECT_NE(reply.find("monitorInfo: ldapUpdates=1"), std::string::npos)
+      << reply;
+  server.Stop();
 }
 
 }  // namespace

@@ -361,5 +361,91 @@ INSTANTIATE_TEST_SUITE_P(WorkerCounts, ParallelUmTest,
                                   std::to_string(info.param);
                          });
 
+/// The counters are relaxed atomics with no lock behind them. Under
+/// four workers, concurrent client writers, two PBX technicians and a
+/// reader that keeps rendering cn=monitor, every counter must still
+/// account for exactly what was issued once the system is quiet.
+TEST(ParallelUmCountersTest, LockFreeCountersAreExactUnderContention) {
+  SystemConfig config;
+  config.um.threaded = true;
+  config.um.worker_threads = 4;
+  auto created = MetaCommSystem::Create(config);
+  ASSERT_TRUE(created.ok()) << created.status();
+  MetaCommSystem& system = **created;
+  constexpr int kPeople = 8;
+  for (int i = 0; i < kPeople; ++i) {
+    std::string extension = std::to_string(4800 + i);
+    ASSERT_TRUE(system
+                    .AddPerson("Counted " + extension,
+                               {{"telephoneNumber", "+1 908 582 " + extension}})
+                    .ok());
+  }
+  const UpdateManager::Stats um_before = system.update_manager().stats();
+  const ltap::LtapGateway::Stats gateway_before = system.gateway().stats();
+
+  constexpr int kClients = 3;
+  constexpr int kClientWrites = 20;
+  constexpr int kTechnicians = 2;
+  constexpr int kTechnicianWrites = 20;
+  std::atomic<int> failures{0};
+  std::atomic<bool> writing{true};
+  std::thread monitor_reader([&] {
+    ldap::Client client = system.NewClient();
+    while (writing.load()) {
+      auto entries = client.Search("cn=monitor,o=Lucent", "(objectClass=*)");
+      if (!entries.ok() || entries->empty()) failures.fetch_add(1);
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int c = 0; c < kClients; ++c) {
+    writers.emplace_back([&, c] {
+      ldap::Client client = system.NewClient();
+      for (int i = 0; i < kClientWrites; ++i) {
+        std::string cn = "Counted " + std::to_string(4800 + (c + i) % kPeople);
+        Status status = client.Replace("cn=" + cn + ",ou=People,o=Lucent",
+                                       "roomNumber",
+                                       "C" + std::to_string(c * 100 + i));
+        if (!status.ok()) failures.fetch_add(1);
+      }
+    });
+  }
+  for (int t = 0; t < kTechnicians; ++t) {
+    writers.emplace_back([&, t] {
+      for (int i = 0; i < kTechnicianWrites; ++i) {
+        auto reply = system.pbx("pbx1")->ExecuteCommand(
+            "change station " + std::to_string(4800 + (t + i) % kPeople) +
+            " Room T" + std::to_string(t * 100 + i));
+        if (!reply.ok()) failures.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& writer : writers) writer.join();
+  writing.store(false);
+  monitor_reader.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  // Quiesce: the DDUs returned at enqueue time. Once the queue is empty,
+  // Stop() joins the workers, so every pop has been counted.
+  for (int i = 0; i < 5000 && system.update_manager().QueueDepth() > 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  system.update_manager().Stop();
+
+  const UpdateManager::Stats um = system.update_manager().stats();
+  EXPECT_EQ(um.ldap_updates - um_before.ldap_updates,
+            static_cast<uint64_t>(kClients * kClientWrites));
+  EXPECT_EQ(um.device_updates - um_before.device_updates,
+            static_cast<uint64_t>(kTechnicians * kTechnicianWrites));
+  EXPECT_EQ(system.gateway().stats().updates - gateway_before.updates,
+            static_cast<uint64_t>(kClients * kClientWrites));
+  uint64_t enqueued = 0;
+  uint64_t dequeued = 0;
+  for (const UpdateManager::ShardStats& shard : um.shards) {
+    enqueued += shard.enqueued;
+    dequeued += shard.dequeued;
+  }
+  EXPECT_EQ(enqueued, dequeued);
+}
+
 }  // namespace
 }  // namespace metacomm::core

@@ -20,11 +20,13 @@
 #       (lockdep_test) run explicitly and must prove a deliberate
 #       A→B/B→A inversion aborts with both acquisition stacks.
 #   3. ThreadSanitizer build and run of the concurrency tests
-#      (threaded_test, parallel_um_test, snapshot_stress_test,
-#      wire_test — the epoll socket server under adversarial byte
-#      patterns and concurrent connections — and lexpress_exec_test,
-#      whose shared-Mapping/per-thread-Vm section proves the lexpress
-#      fast path shares no mutable state).
+#      (threaded_test, parallel_um_test — including the lock-free
+#      counters under contention — snapshot_stress_test, wire_test —
+#      the epoll socket server under adversarial byte patterns and
+#      concurrent connections — monitor_test, which reads cn=monitor
+#      over TCP, and lexpress_exec_test, whose shared-Mapping/
+#      per-thread-Vm section proves the lexpress fast path shares no
+#      mutable state).
 #   3b. Fault-injection stress under TSan: fault_tolerance_test (the
 #       breaker/repair end-to-end suite, including the threaded
 #       Stop-vs-repair-worker shutdown race) and the randomized
@@ -118,16 +120,17 @@ else
 fi
 
 # -- 3. TSan concurrency tests ---------------------------------------
-note "ThreadSanitizer: threaded_test + parallel_um_test + snapshot_stress_test + wire_test + lexpress_exec_test"
+note "ThreadSanitizer: threaded_test + parallel_um_test + snapshot_stress_test + wire_test + monitor_test + lexpress_exec_test"
 if cmake -B build-tsan -S . -DMETACOMM_SANITIZE=thread >/dev/null \
    && cmake --build build-tsan -j "$jobs" \
         --target threaded_test parallel_um_test snapshot_stress_test \
-                 wire_test lexpress_exec_test; then
+                 wire_test monitor_test lexpress_exec_test; then
   ./build-tsan/tests/threaded_test    || fail "threaded_test under TSan"
   ./build-tsan/tests/parallel_um_test || fail "parallel_um_test under TSan"
   ./build-tsan/tests/snapshot_stress_test \
     || fail "snapshot_stress_test under TSan"
   ./build-tsan/tests/wire_test || fail "wire_test under TSan"
+  ./build-tsan/tests/monitor_test || fail "monitor_test under TSan"
   ./build-tsan/tests/lexpress_exec_test \
     || fail "lexpress_exec_test under TSan"
 else
