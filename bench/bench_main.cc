@@ -1,7 +1,9 @@
 #include "bench/bench_main.h"
 
 #include <benchmark/benchmark.h>
+#include <sys/statfs.h>
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -25,6 +27,47 @@ std::string JsonEscape(const std::string& in) {
     out.push_back(c);
   }
   return out;
+}
+
+/// The source tree's commit, read the way servebench/run.py reads it
+/// (`git rev-parse --short=12 HEAD`); "unknown" outside git.
+std::string SourceCommit() {
+  const std::string command = std::string("git -C '") + METACOMM_SOURCE_DIR +
+                              "' rev-parse --short=12 HEAD 2>/dev/null";
+  std::string out;
+  if (FILE* pipe = ::popen(command.c_str(), "r")) {
+    char buf[64];
+    while (std::fgets(buf, sizeof(buf), pipe) != nullptr) out += buf;
+    if (::pclose(pipe) != 0) out.clear();
+  }
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
+    out.pop_back();
+  }
+  return out.empty() ? "unknown" : out;
+}
+
+/// The file-system type holding `path`, named as servebench names it.
+std::string StorageMedium(const std::string& path) {
+  struct statfs st {};
+  if (::statfs(path.c_str(), &st) != 0) return "unknown";
+  switch (static_cast<uint64_t>(st.f_type)) {
+    case 0x01021994:
+      return "tmpfs";
+    case 0xEF53:
+      return "ext4";
+    case 0x58465342:
+      return "xfs";
+    case 0x9123683E:
+      return "btrfs";
+    case 0x794c7630:
+      return "overlayfs";
+    default: {
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "fs-0x%llx",
+                    static_cast<unsigned long long>(st.f_type));
+      return buf;
+    }
+  }
 }
 
 double ToMillis(double value, benchmark::TimeUnit unit) {
@@ -117,6 +160,9 @@ int RunBenchMain(const std::string& name, int argc, char** argv) {
   out << "  \"lockdep\": false,\n";
 #endif
   out << "  \"nproc\": " << std::thread::hardware_concurrency() << ",\n";
+  out << "  \"commit\": \"" << JsonEscape(SourceCommit()) << "\",\n";
+  // The report's own directory: where the bench runs and writes.
+  out << "  \"storage\": \"" << JsonEscape(StorageMedium(".")) << "\",\n";
   out << "  \"runs\": [";
   bool first = true;
   for (const JsonCapture::Sample& sample : reporter.samples()) {

@@ -10,7 +10,8 @@ namespace metacomm::bench {
 /// is written to BENCH_<name>.json in the current working directory:
 /// per-run time and ops/sec (with every user counter), the invocation
 /// arguments, and what built and ran it (CMake build type, whether
-/// lockdep was compiled in, and the hardware thread count).
+/// lockdep was compiled in, the hardware thread count, the source
+/// commit, and the storage medium of the working directory).
 /// tools/bench_report.sh drives this across all benches.
 int RunBenchMain(const std::string& name, int argc, char** argv);
 

@@ -37,6 +37,16 @@ UpdateManager::UpdateManager(ltap::LtapGateway* gateway,
       queue_(static_cast<size_t>(std::max(1, config.worker_threads))),
       shard_counters_(queue_.shard_count()) {
   um_session_ = gateway_->NewSession();
+  // Error entries outlive the process: number on from the highest one
+  // recovered (audit-only too), or the next cn=error-N collides with it.
+  StatusOr<std::vector<ldap::Entry>> logged = ErrorEntries();
+  if (!logged.ok()) return;
+  for (const ldap::Entry& entry : *logged) {
+    const std::string cn = entry.GetFirst("cn");
+    if (!StartsWith(cn, "error-")) continue;
+    error_sequence_ = std::max<uint64_t>(
+        error_sequence_, ParseUint64(cn.substr(6)).value_or(0));
+  }
 }
 
 UpdateManager::~UpdateManager() { Stop(); }
@@ -583,8 +593,8 @@ StatusOr<UpdatePlan> UpdateManager::PlanUpdate(
   plan.final_ldap = closure.records["ldap"];
   plan.final_ldap.set_schema("ldap");
 
-  // The directory write comes first: the materialized view is the
-  // system of record, and device translation reads its final image.
+  // The directory op leads the plan (device translation reads its
+  // final image); Path A applies it after the devices.
   PlannedOp directory_op;
   directory_op.repository = "ldap";
   directory_op.update = ldap_update;
@@ -599,6 +609,12 @@ StatusOr<UpdatePlan> UpdateManager::PlanUpdate(
         std::optional<lexpress::UpdateDescriptor> translated,
         filter->from_ldap().Translate(fanout, vm));
     if (!translated.has_value()) continue;
+    // An unchanged image needs no conversation (§5.4 reapplications go).
+    if (translated->op == lexpress::DescriptorOp::kModify &&
+        !translated->conditional &&
+        translated->old_record.attrs() == translated->new_record.attrs()) {
+      continue;
+    }
     PlannedOp device_op;
     device_op.repository = filter->name();
     device_op.update = std::move(*translated);
@@ -609,7 +625,7 @@ StatusOr<UpdatePlan> UpdateManager::PlanUpdate(
 
 Status UpdateManager::BackfillGeneratedInfo(
     const lexpress::UpdateDescriptor& ldap_update, const UpdatePlan& plan,
-    const std::vector<DeviceResult>& results) {
+    const std::vector<DeviceResult>& results, bool write_back) {
   // Device-generated information (§5.5): after all other devices are
   // updated, fold anything the devices MINTED (e.g. the messaging
   // platform's SubscriberId) back into the directory. Minted means it
@@ -634,20 +650,22 @@ Status UpdateManager::BackfillGeneratedInfo(
       }
     }
   }
-  if (generated.empty()) return Status::Ok();
-  lexpress::UpdateDescriptor backfill;
-  backfill.op = lexpress::DescriptorOp::kModify;
-  backfill.schema = "ldap";
-  backfill.source = ldap_update.source;
-  backfill.conditional = true;
-  backfill.old_record = plan.final_ldap;
-  backfill.new_record = MergeRecords(plan.final_ldap, generated);
+  if (generated.empty() && !write_back) return Status::Ok();
+  // A write-back diffs from the client's old image: closure removals land.
+  lexpress::UpdateDescriptor backfill{
+      .op = lexpress::DescriptorOp::kModify,
+      .schema = "ldap",
+      .old_record = write_back ? ldap_update.old_record : plan.final_ldap,
+      .new_record = MergeRecords(plan.final_ldap, generated),
+      .source = ldap_update.source,
+      .conditional = true};
   ApplyResult applied = ldap_filter_->Apply(backfill);
   if (!applied.ok()) {
     HandleError(applied.status(), backfill);
     return applied.status();
   }
-  counters_.generated_info.fetch_add(1, std::memory_order_relaxed);
+  counters_.generated_info.fetch_add(generated.empty() ? 0 : 1,
+                                     std::memory_order_relaxed);
   return Status::Ok();
 }
 
@@ -784,6 +802,7 @@ void UpdateManager::PropagateWave(std::vector<CoalescedUnit>& units,
     /// Saga undo: inverses of this unit's device applies, in order.
     std::vector<std::pair<RepositoryFilter*, lexpress::UpdateDescriptor>>
         undo;
+    bool ldap_current = false;  // Path A: directory written last.
     Status status = Status::Ok();
     /// The directory write failed, or saga undo compensated the unit:
     /// no further device fan-out and no §5.5 round.
@@ -798,6 +817,7 @@ void UpdateManager::PropagateWave(std::vector<CoalescedUnit>& units,
     const WorkItem& first = items[unit.constituents.front()];
     LiveUnit lu;
     lu.unit = &unit;
+    lu.ldap_current = first.ldap_current;
     lu.update = first.hydrate ? HydrateDeviceUpdate(std::move(unit.update))
                               : std::move(unit.update);
     StatusOr<UpdatePlan> plan = PlanUpdate(lu.update, first.ldap_current, vm);
@@ -833,12 +853,13 @@ void UpdateManager::PropagateWave(std::vector<CoalescedUnit>& units,
     }
   }
 
-  // Phase 1 — directory writes, all under one LTAP session. A failed
-  // view write aborts THAT unit's sequence (§4.4), not the wave. Each
-  // planned op is applied once, so the phases take their updates over.
+  // Phase 1 — directory writes of DDUs and Synchronize upserts, under
+  // one LTAP session. A failed view write aborts THAT unit's sequence
+  // (§4.4), not the wave. The phases take their planned updates over.
   std::vector<lexpress::UpdateDescriptor> ldap_ops;
   std::vector<size_t> ldap_owner;
   for (size_t i = 0; i < live.size(); ++i) {
+    if (live[i].ldap_current) continue;
     for (PlannedOp& op : live[i].plan.ops) {
       if (!EqualsIgnoreCase(op.repository, "ldap")) continue;
       ldap_ops.push_back(std::move(op.update));
@@ -909,10 +930,13 @@ void UpdateManager::PropagateWave(std::vector<CoalescedUnit>& units,
     }
   }
 
-  // Phase 3 — §5.5 generated-information round, then settle.
+  // Phase 3 — one directory write: Path A's closure image plus the §5.5
+  // round (skipped when stopped). A failed write fails the unit.
   for (LiveUnit& lu : live) {
-    if (!lu.stopped && lu.update.op != lexpress::DescriptorOp::kDelete) {
-      (void)BackfillGeneratedInfo(lu.update, lu.plan, lu.results);
+    if (lu.update.op != lexpress::DescriptorOp::kDelete && lu.status.ok()) {
+      if (lu.stopped) lu.results.clear();
+      lu.status = BackfillGeneratedInfo(lu.update, lu.plan, lu.results,
+                                        lu.ldap_current);
     }
     SettleUnit(*lu.unit, items, lu.status, /*processed=*/true);
   }
@@ -1038,13 +1062,6 @@ std::vector<ApplyResult> UpdateManager::ApplyToRepository(
   return applied;
 }
 
-ApplyResult UpdateManager::ApplyToRepository(
-    RepositoryFilter* filter, const lexpress::UpdateDescriptor& update) {
-  return std::move(
-      ApplyToRepository(filter, std::vector<lexpress::UpdateDescriptor>{update})
-          .front());
-}
-
 void UpdateManager::RepairLoop() {
   // SleepInterruptible returns false the moment Stop() raises
   // stopping_, so shutdown never waits out a scan interval.
@@ -1057,8 +1074,8 @@ void UpdateManager::RepairLoop() {
   }
 }
 
-StatusOr<UpdateManager::Backlog> UpdateManager::PendingReplays() const {
-  if (config_.error_base.empty()) return Backlog();
+StatusOr<std::vector<ldap::Entry>> UpdateManager::ErrorEntries() const {
+  if (config_.error_base.empty()) return std::vector<ldap::Entry>();
   METACOMM_ASSIGN_OR_RETURN(ldap::Dn base,
                             ldap::Dn::Parse(config_.error_base));
   ldap::SearchRequest request;
@@ -1070,11 +1087,18 @@ StatusOr<UpdateManager::Backlog> UpdateManager::PendingReplays() const {
   ctx.principal = "cn=metacomm";
   ctx.internal = true;
   StatusOr<ldap::SearchResult> result = gateway_->Search(ctx, request);
-  // No error container (nothing logged yet): no backlog.
-  if (result.status().code() == StatusCode::kNotFound) return Backlog();
+  // No error container (nothing logged yet): no entries.
+  if (result.status().code() == StatusCode::kNotFound) {
+    return std::vector<ldap::Entry>();
+  }
   METACOMM_RETURN_IF_ERROR(result.status());
+  return std::move(result->entries);
+}
+
+StatusOr<UpdateManager::Backlog> UpdateManager::PendingReplays() const {
+  METACOMM_ASSIGN_OR_RETURN(std::vector<ldap::Entry> entries, ErrorEntries());
   Backlog backlog;
-  for (ldap::Entry& entry : result->entries) {
+  for (ldap::Entry& entry : entries) {
     StatusOr<LoggedFailure> parsed = ParseErrorEntry(entry);
     if (!parsed.ok() || !parsed->replayable()) continue;
     if (FindFilter(parsed->repository) == nullptr) continue;
@@ -1168,7 +1192,7 @@ bool UpdateManager::ReplayRepository(
     // applied before the outage, or a later sync may have carried it.
     lexpress::UpdateDescriptor replay = failure.update;
     replay.conditional = true;
-    ApplyResult result = ApplyToRepository(filter, replay);
+    ApplyResult result = ApplyToRepository(filter, {replay}).front();
     if (result.retryable()) {
       // Repository still down (or its circuit still open): leave this
       // and every later entry for the next pass — replay order within
@@ -1403,7 +1427,7 @@ Status UpdateManager::Synchronize(const std::string& device_name) {
     std::string key = device_add.new_record.GetFirst(device_key_attr);
     if (key.empty() || device_keys.count(key) > 0) continue;
     device_add.conditional = true;  // Upsert semantics.
-    ApplyResult applied = ApplyToRepository(filter, device_add);
+    ApplyResult applied = ApplyToRepository(filter, {device_add}).front();
     if (!applied.ok()) {
       HandleFailure(filter->name(), applied.outcome(), applied.status(),
                     device_add);

@@ -109,11 +109,11 @@ struct PlannedOp {
 
 /// "An update execution plan is generated, determining in which order
 /// the updates to the various data sources should be applied" (paper
-/// §6). The plan is: the directory write first (the materialized view
-/// is the system of record), then each routed device update — with
-/// conditional reapplication to the originator — and finally, outside
-/// the static plan, the device-generated-information backfill (§5.5),
-/// which depends on the devices' results.
+/// §6). The plan is the directory write, then each routed device update
+/// that changes the device's image, reapplications to the originator
+/// included. A DDU or Synchronize upsert writes the directory first; an
+/// LDAP write is already committed, so its closure image is written
+/// after the devices, with their generated information (§5.5).
 struct UpdatePlan {
   std::vector<PlannedOp> ops;
   /// The closure-extended directory image the plan drives toward.
@@ -378,11 +378,12 @@ class UpdateManager : public ltap::TriggerActionServer {
     lexpress::Record result;  // What the device actually holds now.
   };
 
-  /// The §5.5 device-generated-information round: folds attributes the
-  /// devices MINTED (differ from what we sent) back into the directory.
+  /// The §5.5 round, in one Modify with a Path A closure image
+  /// (`write_back`): folds attributes the devices MINTED into the view.
   Status BackfillGeneratedInfo(const lexpress::UpdateDescriptor& ldap_update,
                                const UpdatePlan& plan,
-                               const std::vector<DeviceResult>& results);
+                               const std::vector<DeviceResult>& results,
+                               bool write_back);
 
   /// Processes one item outside the queue (synchronous-mode updates,
   /// Synchronize upserts) as a one-item drain; returns its outcome.
@@ -443,8 +444,6 @@ class UpdateManager : public ltap::TriggerActionServer {
   std::vector<ApplyResult> ApplyToRepository(
       RepositoryFilter* filter,
       const std::vector<lexpress::UpdateDescriptor>& updates);
-  ApplyResult ApplyToRepository(RepositoryFilter* filter,
-                                const lexpress::UpdateDescriptor& update);
 
   /// Sleeps up to `micros`, waking early when Stop() is called.
   /// Returns false when the UM is stopping (the caller should bail).
@@ -458,6 +457,9 @@ class UpdateManager : public ltap::TriggerActionServer {
 
   /// Repair worker body: periodic RunRepairPass until Stop().
   void RepairLoop();
+
+  /// Every entry under error_base (none without a container).
+  StatusOr<std::vector<ldap::Entry>> ErrorEntries() const;
 
   /// A replayable error-log entry: the logged failure and its DN.
   using PendingReplay = std::pair<LoggedFailure, ldap::Dn>;

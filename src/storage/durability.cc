@@ -343,18 +343,22 @@ void DurabilityManager::StartCheckpointThread(const ldap::Backend* backend) {
 }
 
 void DurabilityManager::CheckpointLoop(const ldap::Backend* backend) {
+  // Each attempt rolls a WAL segment: a failing checkpoint backs off,
+  // doubling its wait up to 16 intervals until one succeeds.
+  const int64_t interval = config_.checkpoint_interval_micros;
+  int64_t wait = interval;
   for (;;) {
     {
       MutexLock lock(&mu_);
-      auto deadline =
-          std::chrono::steady_clock::now() +
-          std::chrono::microseconds(config_.checkpoint_interval_micros);
+      auto deadline = std::chrono::steady_clock::now() +
+                      std::chrono::microseconds(wait);
       while (!stop_) {
         if (!cv_.WaitUntil(lock, deadline)) break;
       }
       if (stop_) return;
     }
     StatusOr<CheckpointStats> result = Checkpoint(*backend);
+    wait = result.ok() ? interval : std::min(2 * wait, 16 * interval);
     if (!result.ok()) {
       METACOMM_LOG(kWarning)
           << "checkpoint failed: " << result.status().ToString();

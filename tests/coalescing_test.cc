@@ -399,6 +399,45 @@ TEST_P(LoneUpdateTest, PaysOneConversationPerRepository) {
   const uint64_t pbx_before = pbx.round_trips();
   const uint64_t mp_before = mp.round_trips();
 
+  // A room and PIN change: both devices' images change.
+  ldap::Client client = (*system)->NewClient();
+  ASSERT_TRUE(
+      client
+          .Modify("cn=John Doe,ou=People,o=Lucent",
+                  {{ldap::Modification::Type::kReplace, "roomNumber",
+                    {"3F-112"}},
+                   {ldap::Modification::Type::kReplace, "MpPin", {"2468"}}})
+          .ok());
+
+  EXPECT_EQ(pbx.round_trips() - pbx_before, 1u);
+  EXPECT_EQ(mp.round_trips() - mp_before, 1u);
+  auto station = (*system)->pbx("pbx1")->GetRecord("4567");
+  ASSERT_TRUE(station.ok()) << station.status();
+  EXPECT_EQ(station->GetFirst("Room"), "3F-112");
+  EXPECT_EQ((*system)->update_manager().stats().errors, 0u);
+  (*system)->update_manager().Stop();
+}
+
+/// A room change leaves the messaging platform's image as it is, so the
+/// plan holds no mp1 op and the platform is not even called.
+TEST_P(LoneUpdateTest, RoomChangeTalksToThePbxOnly) {
+  SystemConfig config;
+  config.um.threaded = GetParam();
+  config.um.max_batch_size = 1;
+  config.device_command_rtt_micros = 100;
+  auto system = MetaCommSystem::Create(std::move(config));
+  ASSERT_TRUE(system.ok()) << system.status();
+  ASSERT_TRUE((*system)
+                  ->AddPerson("John Doe",
+                              {{"telephoneNumber", "+1 908 582 4567"}})
+                  .ok());
+  devices::LatencyEmulator& pbx = (*system)->pbx("pbx1")->latency();
+  devices::LatencyEmulator& mp = (*system)->mp("mp1")->latency();
+  const uint64_t pbx_before = pbx.round_trips();
+  const uint64_t mp_before = mp.round_trips();
+  const uint64_t applies_before =
+      (*system)->update_manager().stats().device_applies;
+
   ldap::Client client = (*system)->NewClient();
   ASSERT_TRUE(client
                   .Replace("cn=John Doe,ou=People,o=Lucent", "roomNumber",
@@ -406,7 +445,10 @@ TEST_P(LoneUpdateTest, PaysOneConversationPerRepository) {
                   .ok());
 
   EXPECT_EQ(pbx.round_trips() - pbx_before, 1u);
-  EXPECT_EQ(mp.round_trips() - mp_before, 1u);
+  EXPECT_EQ(mp.round_trips() - mp_before, 0u);
+  EXPECT_EQ((*system)->update_manager().stats().device_applies -
+                applies_before,
+            1u);
   auto station = (*system)->pbx("pbx1")->GetRecord("4567");
   ASSERT_TRUE(station.ok()) << station.status();
   EXPECT_EQ(station->GetFirst("Room"), "3F-112");

@@ -96,6 +96,19 @@ class DurabilityTest : public ::testing::Test {
     return std::move(*mgr);
   }
 
+  /// Plants a directory where the next snapshot's temporary file goes,
+  /// which makes every checkpoint attempt fail (EISDIR), whatever the
+  /// process's privileges. Returns its path.
+  std::string PlantSnapshotBlocker(const ldap::Backend& backend) {
+    char name[64];
+    std::snprintf(name, sizeof(name), "snapshot-%020llu.mcsnap.tmp",
+                  static_cast<unsigned long long>(
+                      backend.GetSnapshot()->version));
+    const std::string planted = config_.data_dir + "/" + name;
+    EXPECT_TRUE(MakeDirs(planted).ok());
+    return planted;
+  }
+
   void AddTree(ldap::Backend* backend) {
     ldap::Entry suffix(*ldap::Dn::Parse("o=Lucent"));
     suffix.AddObjectClass("top");
@@ -200,14 +213,7 @@ TEST_F(DurabilityTest, FailedBackgroundCheckpointIsLogged) {
   auto mgr = OpenAttached(&backend);
   ASSERT_NE(mgr, nullptr);
   AddTree(&backend);
-  // A directory where the snapshot's temporary file goes makes every
-  // attempt fail (EISDIR), whatever the process's privileges.
-  char name[64];
-  std::snprintf(name, sizeof(name), "snapshot-%020llu.mcsnap.tmp",
-                static_cast<unsigned long long>(
-                    backend.GetSnapshot()->version));
-  const std::string planted = config_.data_dir + "/" + name;
-  ASSERT_TRUE(MakeDirs(planted).ok());
+  const std::string planted = PlantSnapshotBlocker(backend);
 
   Logger& logger = Logger::Get();
   const LogLevel old_level = logger.min_level();
@@ -237,6 +243,37 @@ TEST_F(DurabilityTest, FailedBackgroundCheckpointIsLogged) {
       << warnings.front();
   EXPECT_NE(warnings.front().find(error.message()), std::string::npos)
       << warnings.front();
+  backend.ClearJournal();
+}
+
+/// Each checkpoint attempt rolls a WAL segment. One that keeps failing
+/// backs off instead of rolling a fresh segment every interval: over
+/// 400 ms at a 20 ms interval it tries at 20, 60, 140 and 300 ms.
+TEST_F(DurabilityTest, FailingBackgroundCheckpointBacksOff) {
+  config_.checkpoint_interval_micros = 20000;
+  ldap::Backend backend;
+  auto mgr = OpenAttached(&backend);
+  ASSERT_NE(mgr, nullptr);
+  AddTree(&backend);
+  const std::string planted = PlantSnapshotBlocker(backend);
+
+  Logger& logger = Logger::Get();
+  const LogLevel old_level = logger.min_level();
+  logger.set_min_level(LogLevel::kError);  // Mute the per-attempt warning.
+  mgr->StartCheckpointThread(&backend);
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  mgr->Stop();
+  logger.set_min_level(old_level);
+  std::filesystem::remove(planted);
+
+  EXPECT_FALSE(mgr->last_checkpoint_error().ok());
+  auto names = ListDir(config_.data_dir);
+  ASSERT_TRUE(names.ok());
+  size_t segments = 0;
+  for (const std::string& name : *names) {
+    if (name.find(".wal") != std::string::npos) ++segments;
+  }
+  EXPECT_LE(segments, 6u);
   backend.ClearJournal();
 }
 

@@ -378,6 +378,47 @@ TEST_F(FaultToleranceTest, ReplayBacklogSurvivesRestart) {
   std::filesystem::remove_all(data_dir);
 }
 
+/// The error log's numbering comes back with its entries: after a
+/// restart the next failure is cn=error-6, not a second cn=error-1 that
+/// collides with the recovered one and is neither logged nor replayed.
+TEST_F(FaultToleranceTest, ErrorSequenceContinuesAfterRestart) {
+  const std::string data_dir =
+      std::string(::testing::TempDir()) + "/metacomm_error_seq_restart";
+  std::filesystem::remove_all(data_dir);
+  SystemConfig config;
+  config.durability.data_dir = data_dir;
+  config.durability.checkpoint_interval_micros = 0;
+  Build(config);
+  ASSERT_TRUE(system_
+                  ->AddPerson("John Doe",
+                              {{"telephoneNumber", "+1 908 582 4567"}})
+                  .ok());
+  auto change_pin = [this](const std::string& pin) {
+    ldap::Client client = system_->NewClient();
+    ASSERT_TRUE(
+        client.Replace("cn=John Doe,ou=People,o=Lucent", "MpPin", pin).ok());
+  };
+  system_->mp("mp1")->faults().set_disconnected(true);
+  for (int i = 0; i < 5; ++i) change_pin("100" + std::to_string(i));
+
+  system_.reset();
+  Build(config);
+  system_->mp("mp1")->faults().set_disconnected(true);
+  change_pin("2000");
+  uint64_t replayable = 0;
+  for (const ldap::Entry& entry : ErrorEntries()) {
+    StatusOr<LoggedFailure> failure = ParseErrorEntry(entry);
+    if (failure.ok() && failure->replayable() &&
+        failure->repository == "mp1") {
+      ++replayable;
+    }
+  }
+  EXPECT_EQ(replayable, 6u);
+  EXPECT_EQ(BacklogFor("mp1"), 6u);
+  system_.reset();
+  std::filesystem::remove_all(data_dir);
+}
+
 TEST_F(FaultToleranceTest, RepairReplaysBacklogInOrderAndConverges) {
   SystemConfig config;
   config.um.breaker_failure_threshold = 2;

@@ -221,8 +221,8 @@ TEST_F(IntegrationTest, FailedDeviceUpdateLogsErrorAndNotifiesAdmin) {
   system_->mp("mp1")->faults().FailNext(1);
   ldap::Client client = system_->NewClient();
   ASSERT_TRUE(client
-                  .Replace("cn=John Doe,ou=People,o=Lucent", "roomNumber",
-                           "1B-1")
+                  .Replace("cn=John Doe,ou=People,o=Lucent", "MpPin",
+                           "1357")
                   .ok());
 
   EXPECT_FALSE(admin_errors.empty());
@@ -286,6 +286,71 @@ TEST_F(IntegrationTest, SagaUndoRevertsAppliedDeviceUpdates) {
   EXPECT_GE(system_->update_manager().stats().undos, 1u);
 }
 
+/// LTAP commits a client ADD before the Update Manager sees it, so the
+/// UM writes the directory once more, after the devices: the closure
+/// image and the messaging platform's minted SubscriberId (§5.5) ride
+/// one Modify. Two commits in all, not three.
+TEST_F(IntegrationTest, LdapAddPaysTwoDirectoryCommits) {
+  lexpress::UpdateDescriptor add;
+  add.op = lexpress::DescriptorOp::kAdd;
+  add.schema = "ldap";
+  add.source = "ldap";
+  add.new_record.set_schema("ldap");
+  add.new_record.SetOne("cn", "John Doe");
+  add.new_record.SetOne("sn", "Doe");
+  add.new_record.SetOne("telephoneNumber", "+1 908 582 4567");
+  add.explicit_attrs = {"cn", "sn", "telephoneNumber"};
+  add.new_record.SetOne(kLastUpdaterAttr, "ldap");
+  auto plan = system_->update_manager().PlanUpdate(add, /*ldap_current=*/true);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  ASSERT_TRUE(plan->final_ldap.Has("DefinityExtension"));
+
+  const uint64_t commits = system_->server().backend().ChangeCount();
+  ASSERT_TRUE(system_
+                  ->AddPerson("John Doe",
+                              {{"telephoneNumber", "+1 908 582 4567"}})
+                  .ok());
+  EXPECT_EQ(system_->server().backend().ChangeCount() - commits, 2u);
+
+  ldap::Entry entry = MustGet("cn=John Doe,ou=People,o=Lucent");
+  for (const auto& [attr, value] : plan->final_ldap.attrs()) {
+    EXPECT_EQ(entry.GetAll(attr), value) << attr;
+  }
+  auto mailbox = system_->mp("mp1")->GetRecord("4567");
+  ASSERT_TRUE(mailbox.ok()) << mailbox.status();
+  ASSERT_FALSE(mailbox->GetFirst("SubscriberId").empty());
+  EXPECT_EQ(entry.GetFirst("MpSubscriberId"),
+            mailbox->GetFirst("SubscriberId"));
+  EXPECT_EQ(system_->update_manager().stats().generated_info, 1u);
+}
+
+/// Saga undo stops an LDAP ADD's unit at the messaging platform. The
+/// client's entry still gets its closure write-back after the devices,
+/// but no §5.5 round: nothing the stopped unit's devices returned is
+/// folded in.
+TEST_F(IntegrationTest, SagaStoppedLdapAddKeepsItsClosureWriteBack) {
+  SystemConfig config;
+  config.um.saga_undo = true;
+  Build(config);
+  system_->mp("mp1")->faults().FailNext(1);
+  ASSERT_TRUE(system_
+                  ->AddPerson("John Doe",
+                              {{"telephoneNumber", "+1 908 582 4567"}})
+                  .ok());
+
+  UpdateManager::Stats stats = system_->update_manager().stats();
+  EXPECT_EQ(stats.undos, 1u);
+  EXPECT_EQ(stats.generated_info, 0u);
+  EXPECT_EQ(system_->pbx("pbx1")->StationCount(), 0u);
+  EXPECT_EQ(system_->mp("mp1")->MailboxCount(), 0u);
+  ldap::Entry entry = MustGet("cn=John Doe,ou=People,o=Lucent");
+  EXPECT_EQ(entry.GetFirst("DefinityExtension"), "4567");
+  EXPECT_EQ(entry.GetFirst("MpMailboxNumber"), "4567");
+  EXPECT_EQ(entry.GetFirst(kLastUpdaterAttr), "ldap");
+  EXPECT_TRUE(entry.HasObjectClass(kDefinityUserClass));
+  EXPECT_FALSE(entry.Has("MpSubscriberId"));
+}
+
 TEST_F(IntegrationTest, SagaUndoCompensatesOnlyTheFailedUnitOfAWave) {
   SystemConfig config;
   config.um.saga_undo = true;
@@ -316,13 +381,16 @@ TEST_F(IntegrationTest, SagaUndoCompensatesOnlyTheFailedUnitOfAWave) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   // Both DDUs queue behind it and drain together as one two-unit wave.
-  // The messaging platform fails the wave's first apply: Alice's.
+  // Each also renames its person, so the messaging platform's image
+  // changes too; the platform fails the wave's first apply: Alice's.
   system_->mp("mp1")->faults().FailNext(1);
   ASSERT_TRUE(system_->pbx("pbx1")
-                  ->ExecuteCommand("change station 4567 Room SAGA-A")
+                  ->ExecuteCommand(
+                      "change station 4567 Room SAGA-A Name \"Alicia Saga\"")
                   .ok());
   ASSERT_TRUE(system_->pbx("pbx1")
-                  ->ExecuteCommand("change station 4568 Room SAGA-B")
+                  ->ExecuteCommand(
+                      "change station 4568 Room SAGA-B Name \"Robert Saga\"")
                   .ok());
   slow.join();
   for (int i = 0; i < 5000 && um.stats().device_applies <
@@ -342,10 +410,12 @@ TEST_F(IntegrationTest, SagaUndoCompensatesOnlyTheFailedUnitOfAWave) {
   EXPECT_EQ(after.device_applies - before.device_applies, 3u);
   // Both directory writes stand (§4.4) and each station keeps what its
   // technician set.
-  EXPECT_EQ(MustGet("cn=Alice Saga,ou=People,o=Lucent").GetFirst("roomNumber"),
-            "SAGA-A");
-  EXPECT_EQ(MustGet("cn=Bob Saga,ou=People,o=Lucent").GetFirst("roomNumber"),
-            "SAGA-B");
+  EXPECT_EQ(
+      MustGet("cn=Alicia Saga,ou=People,o=Lucent").GetFirst("roomNumber"),
+      "SAGA-A");
+  EXPECT_EQ(
+      MustGet("cn=Robert Saga,ou=People,o=Lucent").GetFirst("roomNumber"),
+      "SAGA-B");
   auto alice = system_->pbx("pbx1")->GetRecord("4567");
   auto bob = system_->pbx("pbx1")->GetRecord("4568");
   ASSERT_TRUE(alice.ok() && bob.ok());

@@ -11,8 +11,8 @@
 #                                      # baselines, flag >20% slowdowns
 #
 # Each report carries per-run wall time, ops/sec, user counters, and
-# the build type, lockdep setting and nproc that produced it — see
-# bench/bench_main.h. The benches must already be built
+# the build type, lockdep setting, nproc, commit and storage medium
+# that produced it — see bench/bench_main.h. The benches must already be built
 # (cmake --build build).
 #
 # --compare reads each committed BENCH_<name>.json out of git HEAD,
@@ -20,8 +20,9 @@
 # benchmark name. Runs more than 20% slower than baseline
 # are flagged and the script exits non-zero. A baseline whose
 # build_type differs from the fresh run's gets one warning line: its
-# ratios compare two builds, not two versions of the code. Benches
-# without a committed baseline are reported and skipped.
+# ratios compare two builds, not two versions of the code. So does a
+# baseline whose storage medium differs. Benches without a committed
+# baseline are reported and skipped.
 set -u
 
 cd "$(dirname "$0")/.."
@@ -77,6 +78,11 @@ fresh_build = fresh.get("build_type", "unrecorded")
 if base_build != fresh_build:
     print(f"  WARNING: baseline built {base_build}, this run "
           f"{fresh_build}: the ratios below compare different builds")
+base_storage = base.get("storage", "unrecorded")
+fresh_storage = fresh.get("storage", "unrecorded")
+if base_storage != fresh_storage:
+    print(f"  WARNING: baseline ran on {base_storage}, this run on "
+          f"{fresh_storage}: the ratios below compare different media")
 
 base_runs = {run["name"]: run["real_ms"] for run in base.get("runs", [])}
 flagged = []

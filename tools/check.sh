@@ -24,9 +24,11 @@
 #      counters under contention — snapshot_stress_test, wire_test —
 #      the epoll socket server under adversarial byte patterns and
 #      concurrent connections — monitor_test, which reads cn=monitor
-#      over TCP, and lexpress_exec_test, whose shared-Mapping/
+#      over TCP, lexpress_exec_test, whose shared-Mapping/
 #      per-thread-Vm section proves the lexpress fast path shares no
-#      mutable state).
+#      mutable state, and coalescing_test and integration_test, whose
+#      threaded waves write an LDAP write's directory image after the
+#      devices, on the worker, while the client waits).
 #   3b. Fault-injection stress under TSan: fault_tolerance_test (the
 #       breaker/repair end-to-end suite, including the threaded
 #       Stop-vs-repair-worker shutdown race) and the randomized
@@ -120,11 +122,12 @@ else
 fi
 
 # -- 3. TSan concurrency tests ---------------------------------------
-note "ThreadSanitizer: threaded_test + parallel_um_test + snapshot_stress_test + wire_test + monitor_test + lexpress_exec_test"
+note "ThreadSanitizer: threaded_test + parallel_um_test + snapshot_stress_test + wire_test + monitor_test + lexpress_exec_test + coalescing_test + integration_test"
 if cmake -B build-tsan -S . -DMETACOMM_SANITIZE=thread >/dev/null \
    && cmake --build build-tsan -j "$jobs" \
         --target threaded_test parallel_um_test snapshot_stress_test \
-                 wire_test monitor_test lexpress_exec_test; then
+                 wire_test monitor_test lexpress_exec_test \
+                 coalescing_test integration_test; then
   ./build-tsan/tests/threaded_test    || fail "threaded_test under TSan"
   ./build-tsan/tests/parallel_um_test || fail "parallel_um_test under TSan"
   ./build-tsan/tests/snapshot_stress_test \
@@ -133,6 +136,10 @@ if cmake -B build-tsan -S . -DMETACOMM_SANITIZE=thread >/dev/null \
   ./build-tsan/tests/monitor_test || fail "monitor_test under TSan"
   ./build-tsan/tests/lexpress_exec_test \
     || fail "lexpress_exec_test under TSan"
+  ./build-tsan/tests/coalescing_test \
+    || fail "coalescing_test under TSan"
+  ./build-tsan/tests/integration_test \
+    || fail "integration_test under TSan"
 else
   fail "TSan build"
 fi
