@@ -21,13 +21,11 @@ class SelfApplyScope {
 DeviceFilter::DeviceFilter(devices::Device* device,
                            std::unique_ptr<ProtocolConverter> converter,
                            lexpress::Mapping to_ldap,
-                           lexpress::Mapping from_ldap,
-                           std::string key_attr)
+                           lexpress::Mapping from_ldap)
     : device_(device),
       converter_(std::move(converter)),
       to_ldap_(std::move(to_ldap)),
-      from_ldap_(std::move(from_ldap)),
-      key_attr_(std::move(key_attr)) {}
+      from_ldap_(std::move(from_ldap)) {}
 
 void DeviceFilter::SetDduHandler(DduHandler handler) {
   ddu_handler_ = std::move(handler);
@@ -56,8 +54,8 @@ void DeviceFilter::SetDduHandler(DduHandler handler) {
 
 ApplyResult DeviceFilter::Apply(const lexpress::UpdateDescriptor& update) {
   SelfApplyScope self_apply;
-  std::string old_key = update.old_record.GetFirst(key_attr_);
-  std::string new_key = update.new_record.GetFirst(key_attr_);
+  std::string old_key = update.old_record.GetFirst(key_attr());
+  std::string new_key = update.new_record.GetFirst(key_attr());
 
   switch (update.op) {
     case lexpress::DescriptorOp::kAdd: {
@@ -123,7 +121,7 @@ std::vector<ApplyResult> DeviceFilter::ApplyBatch(
 RepositoryHealth DeviceFilter::Health() const {
   devices::FaultInjector& faults = device_->faults();
   RepositoryHealth health;
-  health.reachable = !faults.outage_active();
+  health.reachable = !faults.ReadBlocked();
   health.commands = faults.mutations_seen();
   health.injected_failures = faults.injected_failures();
   return health;

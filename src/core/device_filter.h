@@ -23,12 +23,10 @@ class DeviceFilter : public RepositoryFilter {
   using DduHandler = std::function<void(lexpress::UpdateDescriptor)>;
 
   /// `device` is not owned. `to_ldap`/`from_ldap` are this instance's
-  /// compiled mapping pair; `key_attr` names the device schema's key
-  /// ("Extension", "MailboxNumber").
+  /// compiled mapping pair. The device's key field is the filter's key.
   DeviceFilter(devices::Device* device,
                std::unique_ptr<ProtocolConverter> converter,
-               lexpress::Mapping to_ldap, lexpress::Mapping from_ldap,
-               std::string key_attr);
+               lexpress::Mapping to_ldap, lexpress::Mapping from_ldap);
 
   /// Starts forwarding device notifications as DDU descriptors.
   /// Notifications caused by this filter's own Apply calls are
@@ -50,7 +48,9 @@ class DeviceFilter : public RepositoryFilter {
   StatusOr<std::optional<lexpress::Record>> Fetch(
       const std::string& key) override;
   StatusOr<std::vector<lexpress::Record>> DumpAll() override;
-  const std::string& key_attr() const override { return key_attr_; }
+  const std::string& key_attr() const override {
+    return device_->key_field();
+  }
   RepositoryHealth Health() const override;
 
   /// Number of conditional operations that needed the fallback path
@@ -64,7 +64,6 @@ class DeviceFilter : public RepositoryFilter {
   std::unique_ptr<ProtocolConverter> converter_;
   lexpress::Mapping to_ldap_;
   lexpress::Mapping from_ldap_;
-  std::string key_attr_;
   DduHandler ddu_handler_;
   std::atomic<uint64_t> conditional_fallbacks_{0};
 };

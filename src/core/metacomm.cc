@@ -122,7 +122,7 @@ Status MetaCommSystem::Init() {
     auto filter = std::make_unique<DeviceFilter>(
         pbx.get(),
         std::make_unique<PbxProtocolConverter>(pbx.get()),
-        std::move(mappings[0]), std::move(mappings[1]), "Extension");
+        std::move(mappings[0]), std::move(mappings[1]));
     um_->AddDeviceFilter(filter.get());
     pbxs_.push_back(std::move(pbx));
     filters_.push_back(std::move(filter));
@@ -141,7 +141,7 @@ Status MetaCommSystem::Init() {
     }
     auto filter = std::make_unique<DeviceFilter>(
         mp.get(), std::make_unique<MpProtocolConverter>(mp.get()),
-        std::move(mappings[0]), std::move(mappings[1]), "MailboxNumber");
+        std::move(mappings[0]), std::move(mappings[1]));
     um_->AddDeviceFilter(filter.get());
     mps_.push_back(std::move(mp));
     filters_.push_back(std::move(filter));

@@ -6,32 +6,45 @@ namespace metacomm::core {
 
 namespace {
 
-/// Parses "Field: value" display output into a record.
-lexpress::Record ParseColonLines(const std::string& text,
-                                 const std::string& schema) {
-  lexpress::Record record(schema);
-  for (const std::string& line : Split(text, '\n')) {
-    size_t colon = line.find(':');
-    if (colon == std::string::npos) continue;
-    std::string field = Trim(line.substr(0, colon));
-    std::string value = Trim(line.substr(colon + 1));
+/// Runs a display command and parses its "Field<separator>value" lines
+/// into a record; a record the device does not hold is nullopt.
+StatusOr<std::optional<lexpress::Record>> Show(devices::Device* device,
+                                               const std::string& command,
+                                               char separator) {
+  StatusOr<std::string> reply = device->ExecuteCommand(command);
+  if (!reply.ok()) {
+    if (reply.status().code() == StatusCode::kNotFound) {
+      return std::optional<lexpress::Record>();
+    }
+    return reply.status();
+  }
+  lexpress::Record record(device->schema());
+  for (const std::string& line : Split(*reply, '\n')) {
+    size_t at = line.find(separator);
+    if (at == std::string::npos) continue;
+    std::string field = Trim(line.substr(0, at));
+    std::string value = Trim(line.substr(at + 1));
     if (!field.empty() && !value.empty()) record.SetOne(field, value);
   }
-  return record;
+  return std::optional<lexpress::Record>(std::move(record));
 }
 
-/// Parses "Field=value" show output into a record.
-lexpress::Record ParseEqualsLines(const std::string& text,
-                                  const std::string& schema) {
-  lexpress::Record record(schema);
-  for (const std::string& line : Split(text, '\n')) {
-    size_t eq = line.find('=');
-    if (eq == std::string::npos) continue;
-    std::string field = Trim(line.substr(0, eq));
-    std::string value = Trim(line.substr(eq + 1));
-    if (!field.empty() && !value.empty()) record.SetOne(field, value);
+/// Every record: runs the listing command, whose lines each start with
+/// a record's key, then fetches each listed record through `converter`.
+StatusOr<std::vector<lexpress::Record>> ListThenGet(
+    devices::Device* device, const std::string& list_command,
+    ProtocolConverter& converter) {
+  METACOMM_ASSIGN_OR_RETURN(std::string listing,
+                            device->ExecuteCommand(list_command));
+  std::vector<lexpress::Record> out;
+  for (const std::string& line : Split(listing, '\n')) {
+    std::string trimmed = Trim(line);
+    if (trimmed.empty()) continue;
+    METACOMM_ASSIGN_OR_RETURN(std::optional<lexpress::Record> record,
+                              converter.Get(Split(trimmed, ' ').front()));
+    if (record.has_value()) out.push_back(std::move(*record));
   }
-  return record;
+  return out;
 }
 
 }  // namespace
@@ -55,16 +68,7 @@ std::string PbxProtocolConverter::RenderFields(
 
 StatusOr<std::optional<lexpress::Record>> PbxProtocolConverter::Get(
     const std::string& key) {
-  StatusOr<std::string> reply =
-      device_->ExecuteCommand("display station " + key);
-  if (!reply.ok()) {
-    if (reply.status().code() == StatusCode::kNotFound) {
-      return std::optional<lexpress::Record>();
-    }
-    return reply.status();
-  }
-  return std::optional<lexpress::Record>(
-      ParseColonLines(*reply, device_->schema()));
+  return Show(device_, "display station " + key, ':');
 }
 
 Status PbxProtocolConverter::Add(const lexpress::Record& record) {
@@ -99,18 +103,7 @@ Status PbxProtocolConverter::Delete(const std::string& key) {
 }
 
 StatusOr<std::vector<lexpress::Record>> PbxProtocolConverter::DumpAll() {
-  METACOMM_ASSIGN_OR_RETURN(std::string listing,
-                            device_->ExecuteCommand("list station"));
-  std::vector<lexpress::Record> out;
-  for (const std::string& line : Split(listing, '\n')) {
-    std::string trimmed = Trim(line);
-    if (trimmed.empty()) continue;
-    std::string extension = Split(trimmed, ' ').front();
-    METACOMM_ASSIGN_OR_RETURN(std::optional<lexpress::Record> record,
-                              Get(extension));
-    if (record.has_value()) out.push_back(std::move(*record));
-  }
-  return out;
+  return ListThenGet(device_, "list station", *this);
 }
 
 std::string MpProtocolConverter::RenderAssignments(
@@ -133,16 +126,7 @@ std::string MpProtocolConverter::RenderAssignments(
 
 StatusOr<std::optional<lexpress::Record>> MpProtocolConverter::Get(
     const std::string& key) {
-  StatusOr<std::string> reply =
-      device_->ExecuteCommand("SHOW MAILBOX " + key);
-  if (!reply.ok()) {
-    if (reply.status().code() == StatusCode::kNotFound) {
-      return std::optional<lexpress::Record>();
-    }
-    return reply.status();
-  }
-  return std::optional<lexpress::Record>(
-      ParseEqualsLines(*reply, device_->schema()));
+  return Show(device_, "SHOW MAILBOX " + key, '=');
 }
 
 Status MpProtocolConverter::Add(const lexpress::Record& record) {
@@ -178,18 +162,7 @@ Status MpProtocolConverter::Delete(const std::string& key) {
 }
 
 StatusOr<std::vector<lexpress::Record>> MpProtocolConverter::DumpAll() {
-  METACOMM_ASSIGN_OR_RETURN(std::string listing,
-                            device_->ExecuteCommand("LIST MAILBOXES"));
-  std::vector<lexpress::Record> out;
-  for (const std::string& line : Split(listing, '\n')) {
-    std::string trimmed = Trim(line);
-    if (trimmed.empty()) continue;
-    std::string number = Split(trimmed, ' ').front();
-    METACOMM_ASSIGN_OR_RETURN(std::optional<lexpress::Record> record,
-                              Get(number));
-    if (record.has_value()) out.push_back(std::move(*record));
-  }
-  return out;
+  return ListThenGet(device_, "LIST MAILBOXES", *this);
 }
 
 }  // namespace metacomm::core

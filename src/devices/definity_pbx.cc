@@ -52,9 +52,10 @@ StatusOr<std::vector<std::string>> TokenizeCommand(
 
 }  // namespace
 
-DefinityPbx::DefinityPbx(PbxConfig config) : config_(std::move(config)) {
-  latency_.set_rtt_micros(config_.command_rtt_micros);
-}
+DefinityPbx::DefinityPbx(PbxConfig config)
+    : Device(config.name, "pbx", "Extension", /*generated_field=*/"",
+             config.command_rtt_micros),
+      config_(std::move(config)) {}
 
 bool DefinityPbx::AcceptsExtension(const std::string& extension) const {
   if (config_.extension_prefixes.empty()) return true;
@@ -65,14 +66,7 @@ bool DefinityPbx::AcceptsExtension(const std::string& extension) const {
                      });
 }
 
-Status DefinityPbx::CheckMutationAllowed() {
-  // One gate for the whole fault schedule: manual disconnect,
-  // scheduled outage windows, flaky FailNext sequences, probabilistic
-  // errors, and injected timeout stalls.
-  return faults_.OnMutation(config_.name);
-}
-
-Status DefinityPbx::ValidateStation(const lexpress::Record& record) const {
+Status DefinityPbx::Validate(const lexpress::Record& record) const {
   std::string extension = record.GetFirst("Extension");
   if (extension.empty()) {
     return Status::InvalidArgument(config_.name +
@@ -111,146 +105,15 @@ Status DefinityPbx::ValidateStation(const lexpress::Record& record) const {
   return Status::Ok();
 }
 
-void DefinityPbx::Notify(lexpress::DescriptorOp op,
-                         lexpress::Record old_record,
-                         lexpress::Record new_record) {
-  if (faults_.drop_notifications()) return;
-  NotificationHandler handler;
-  {
-    MutexLock lock(&mutex_);
-    handler = handler_;
-  }
-  if (!handler) return;
-  DeviceNotification notification;
-  notification.op = op;
-  notification.old_record = std::move(old_record);
-  notification.new_record = std::move(new_record);
-  notification.device_name = config_.name;
-  handler(notification);
-}
-
-Status DefinityPbx::AddRecord(const lexpress::Record& record) {
-  latency_.OnCommand();
-  METACOMM_RETURN_IF_ERROR(CheckMutationAllowed());
-  lexpress::Record station = record;
-  station.set_schema(schema_);
-  if (station.GetFirst("Cos").empty()) station.SetOne("Cos", "1");
-  METACOMM_RETURN_IF_ERROR(ValidateStation(station));
-  std::string extension = station.GetFirst("Extension");
-  {
-    MutexLock lock(&mutex_);
-    if (stations_.count(extension) > 0) {
-      return Status::AlreadyExists(config_.name + ": extension " +
-                                   extension + " already administered");
-    }
-    stations_.emplace(extension, station);
-  }
-  Notify(lexpress::DescriptorOp::kAdd, lexpress::Record(schema_), station);
-  return Status::Ok();
-}
-
-Status DefinityPbx::ModifyRecord(
-    const std::string& key, const lexpress::Record& record,
-    const std::vector<std::string>& clear_fields) {
-  latency_.OnCommand();
-  METACOMM_RETURN_IF_ERROR(CheckMutationAllowed());
-  lexpress::Record old_record(schema_);
-  lexpress::Record new_record = record;
-  new_record.set_schema(schema_);
-  {
-    MutexLock lock(&mutex_);
-    auto it = stations_.find(key);
-    if (it == stations_.end()) {
-      return Status::NotFound(config_.name + ": extension " + key +
-                              " not administered");
-    }
-    old_record = it->second;
-    // Merge: fields absent from the request keep their old values
-    // (change-station semantics touch only listed fields), except
-    // fields explicitly cleared with an empty value.
-    for (const auto& [field, value] : old_record.attrs()) {
-      if (!new_record.Has(field)) new_record.Set(field, value);
-    }
-    for (const std::string& field : clear_fields) {
-      if (EqualsIgnoreCase(field, "Extension")) continue;
-      new_record.Remove(field);
-    }
-    if (new_record.GetFirst("Extension").empty()) {
-      new_record.SetOne("Extension", key);
-    }
-    METACOMM_RETURN_IF_ERROR(ValidateStation(new_record));
-    std::string new_key = new_record.GetFirst("Extension");
-    if (new_key != key && stations_.count(new_key) > 0) {
-      return Status::AlreadyExists(config_.name + ": extension " + new_key +
-                                   " already administered");
-    }
-    stations_.erase(it);
-    stations_.emplace(new_key, new_record);
-  }
-  Notify(lexpress::DescriptorOp::kModify, old_record, new_record);
-  return Status::Ok();
-}
-
-Status DefinityPbx::DeleteRecord(const std::string& key) {
-  latency_.OnCommand();
-  METACOMM_RETURN_IF_ERROR(CheckMutationAllowed());
-  lexpress::Record old_record(schema_);
-  {
-    MutexLock lock(&mutex_);
-    auto it = stations_.find(key);
-    if (it == stations_.end()) {
-      return Status::NotFound(config_.name + ": extension " + key +
-                              " not administered");
-    }
-    old_record = it->second;
-    stations_.erase(it);
-  }
-  Notify(lexpress::DescriptorOp::kDelete, old_record,
-         lexpress::Record(schema_));
-  return Status::Ok();
-}
-
-StatusOr<lexpress::Record> DefinityPbx::GetRecord(const std::string& key) {
-  latency_.OnCommand();
-  if (faults_.ReadBlocked()) {
-    return Status::Unavailable(config_.name + ": link down");
-  }
-  MutexLock lock(&mutex_);
-  auto it = stations_.find(key);
-  if (it == stations_.end()) {
-    return Status::NotFound(config_.name + ": extension " + key +
-                            " not administered");
-  }
-  return it->second;
-}
-
-StatusOr<std::vector<lexpress::Record>> DefinityPbx::DumpAll() {
-  latency_.OnCommand();
-  if (faults_.ReadBlocked()) {
-    return Status::Unavailable(config_.name + ": link down");
-  }
-  MutexLock lock(&mutex_);
-  std::vector<lexpress::Record> out;
-  out.reserve(stations_.size());
-  for (const auto& [key, record] : stations_) out.push_back(record);
-  return out;
-}
-
-void DefinityPbx::SetNotificationHandler(NotificationHandler handler) {
-  MutexLock lock(&mutex_);
-  handler_ = std::move(handler);
-}
-
-size_t DefinityPbx::StationCount() const {
-  MutexLock lock(&mutex_);
-  return stations_.size();
+void DefinityPbx::OnAdd(lexpress::Record* record) {
+  if (record->GetFirst("Cos").empty()) record->SetOne("Cos", "1");
 }
 
 StatusOr<std::string> DefinityPbx::ExecuteCommand(
     const std::string& command) {
   // One command = one administrative round-trip; the typed operations
   // the command dispatches to below ride this session for free.
-  LatencyEmulator::SessionScope rtt_session(&latency_);
+  LatencyEmulator::SessionScope rtt_session(&latency());
   METACOMM_ASSIGN_OR_RETURN(std::vector<std::string> words,
                             TokenizeCommand(command));
   if (words.empty()) {
@@ -262,13 +125,12 @@ StatusOr<std::string> DefinityPbx::ExecuteCommand(
     if (words.size() < 2 || !EqualsIgnoreCase(words[1], "station")) {
       return Status::InvalidArgument(config_.name + ": usage: list station");
     }
-    if (faults_.ReadBlocked()) {
-      return Status::Unavailable(config_.name + ": link down");
-    }
+    METACOMM_ASSIGN_OR_RETURN(std::vector<lexpress::Record> stations,
+                              DumpAll());
     std::string out;
-    MutexLock lock(&mutex_);
-    for (const auto& [key, record] : stations_) {
-      out += key + " " + record.GetFirst("Name") + "\n";
+    for (const lexpress::Record& record : stations) {
+      out += record.GetFirst("Extension") + " " + record.GetFirst("Name") +
+             "\n";
     }
     return out;
   }
@@ -296,7 +158,7 @@ StatusOr<std::string> DefinityPbx::ExecuteCommand(
 
   // add / change take "Field value" pairs; an empty quoted value
   // ("") on change clears the field.
-  lexpress::Record record(schema_);
+  lexpress::Record record(schema());
   record.SetOne("Extension", extension);
   std::vector<std::string> clears;
   for (size_t i = 3; i + 1 < words.size(); i += 2) {

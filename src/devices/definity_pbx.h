@@ -1,12 +1,9 @@
 #ifndef METACOMM_DEVICES_DEFINITY_PBX_H_
 #define METACOMM_DEVICES_DEFINITY_PBX_H_
 
-#include <map>
 #include <string>
 #include <vector>
 
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
 #include "devices/device.h"
 
 namespace metacomm::devices {
@@ -48,47 +45,20 @@ class DefinityPbx : public Device {
  public:
   explicit DefinityPbx(PbxConfig config);
 
-  const std::string& name() const override { return config_.name; }
-  const std::string& schema() const override { return schema_; }
-
   StatusOr<std::string> ExecuteCommand(const std::string& command) override;
-  StatusOr<lexpress::Record> GetRecord(const std::string& key) override;
-  Status AddRecord(const lexpress::Record& record) override;
-  Status ModifyRecord(const std::string& key,
-                      const lexpress::Record& record,
-                      const std::vector<std::string>& clear_fields)
-      override;
-  Status DeleteRecord(const std::string& key) override;
-  StatusOr<std::vector<lexpress::Record>> DumpAll() override;
-  void SetNotificationHandler(NotificationHandler handler) override;
-  FaultInjector& faults() override { return faults_; }
-  LatencyEmulator& latency() override { return latency_; }
 
   /// Number of stations configured.
-  size_t StationCount() const;
+  size_t StationCount() const { return RecordCount(); }
 
   /// True if the extension falls inside this switch's dial plan.
   bool AcceptsExtension(const std::string& extension) const;
 
  private:
-  /// Checks connectivity and injected failures for a mutating command.
-  Status CheckMutationAllowed();
-
-  /// Field-level validation (the only "typing" the device has).
-  Status ValidateStation(const lexpress::Record& record) const;
-
-  void Notify(lexpress::DescriptorOp op, lexpress::Record old_record,
-              lexpress::Record new_record) EXCLUDES(mutex_);
+  Status Validate(const lexpress::Record& record) const override;
+  /// Stations default to class of service 1.
+  void OnAdd(lexpress::Record* record) override;
 
   PbxConfig config_;
-  std::string schema_ = "pbx";
-  mutable Mutex mutex_{LockRank::kDeviceRecords,
-                       "devices.definity_pbx"};
-  // by Extension
-  std::map<std::string, lexpress::Record> stations_ GUARDED_BY(mutex_);
-  NotificationHandler handler_ GUARDED_BY(mutex_);
-  FaultInjector faults_;
-  LatencyEmulator latency_;
 };
 
 }  // namespace metacomm::devices

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <random>
 #include <string>
 #include <utility>
@@ -38,8 +39,8 @@ struct DeviceNotification {
 /// exercised through this injector: beyond the original manual
 /// switches it drives scripted outage windows, flaky
 /// fails-N-then-succeeds sequences, probabilistic per-command errors,
-/// and injected command timeouts — on every device that routes its
-/// mutations through OnMutation().
+/// and injected command timeouts — on every typed mutation of a
+/// Device, which all pass OnMutation().
 class FaultInjector {
  public:
   // ---- Manual switches (the original API) --------------------------
@@ -62,18 +63,6 @@ class FaultInjector {
   void FailNext(int n, StatusCode code) {
     fail_next_code_.store(static_cast<int>(code));
     fail_next_.store(n);
-  }
-
-  /// Consumes one pending FailNext slot; true if one fired. Exposed
-  /// for devices with bespoke failure text; OnMutation() calls it.
-  bool ConsumeFailure() {
-    int current = fail_next_.load();
-    while (current > 0) {
-      if (fail_next_.compare_exchange_weak(current, current - 1)) {
-        return true;
-      }
-    }
-    return false;
   }
 
   // ---- Scripted / probabilistic schedules --------------------------
@@ -105,17 +94,12 @@ class FaultInjector {
 
   /// Central mutation gate: counts the command, evaluates the fault
   /// schedule, and returns the injected failure (or OK). `device_name`
-  /// prefixes the diagnostic. Devices call this from their
-  /// mutation-allowed check AFTER their own disconnected() fast path.
+  /// prefixes the diagnostic.
   Status OnMutation(const std::string& device_name) EXCLUDES(mutex_);
 
   /// True while reads should be refused: manual disconnect or an
   /// active scheduled outage window. Does not consume a command slot.
   bool ReadBlocked() const EXCLUDES(mutex_);
-
-  /// True while the device is observably down (ReadBlocked alias with
-  /// telemetry-friendly naming).
-  bool outage_active() const { return ReadBlocked(); }
 
   // ---- Telemetry (feeds RepositoryFilter::Health) ------------------
 
@@ -125,6 +109,8 @@ class FaultInjector {
   uint64_t injected_failures() const { return injected_failures_.load(); }
 
  private:
+  /// Consumes one pending FailNext slot; true if one fired.
+  bool ConsumeFailure();
   Status Fail(const std::string& device_name, StatusCode code,
               const char* what);
 
@@ -191,32 +177,21 @@ class LatencyEmulator {
   static thread_local std::vector<const LatencyEmulator*> open_sessions_;
 };
 
-/// The typed outcome of one proprietary device command — the
-/// device-level face of the ApplyOutcome vocabulary. Replaces the old
-/// collapsed StatusOr<string> in batch interfaces so callers can tell
-/// a down device (retryable, worth replaying) from a rejected command
-/// (permanent) without parsing status codes.
-struct CommandResult {
-  ApplyOutcome outcome = ApplyOutcome::kApplied;
-  Status status;      // Ok iff outcome == kApplied.
-  std::string reply;  // The device's textual reply when applied.
-
-  bool ok() const { return outcome == ApplyOutcome::kApplied; }
-  bool retryable() const { return outcome == ApplyOutcome::kRetryable; }
-
-  static CommandResult From(StatusOr<std::string> reply);
-};
-
-/// Common interface over the simulated legacy devices.
+/// A simulated legacy device: one record store under a proprietary
+/// command language.
 ///
 /// Devices have two faces:
 ///  * a *proprietary command interface* (ExecuteCommand) — the path a
 ///    device administrator uses, producing direct device updates;
 ///  * typed record accessors used by the filter's protocol converter
 ///    and by the synchronizer's full dumps.
-/// Both converge on the same internal store and both emit
-/// notifications, exactly because "the devices must be usable with or
-/// without MetaComm" (§4.4).
+/// Both converge on the one store below and both emit notifications,
+/// exactly because "the devices must be usable with or without
+/// MetaComm" (§4.4). The store is the same for every device: records
+/// keyed by one field, single-record atomic commands, each gated by
+/// faults() and paying one round trip of latency(), and a notification
+/// at commit. A subclass brings its command language, its field rules
+/// (Validate) and an add hook (OnAdd).
 class Device {
  public:
   using NotificationHandler =
@@ -226,56 +201,82 @@ class Device {
 
   /// Instance name, e.g. "pbx1". Used as the lexpress update source
   /// and as the LastUpdater value.
-  virtual const std::string& name() const = 0;
+  const std::string& name() const { return name_; }
 
   /// lexpress schema this device's records use, e.g. "pbx".
-  virtual const std::string& schema() const = 0;
+  const std::string& schema() const { return schema_; }
+
+  /// The field that keys the records ("Extension", "MailboxNumber").
+  const std::string& key_field() const { return key_field_; }
 
   /// Runs one proprietary command; returns the device's textual reply.
-  /// This is the raw administrator-facing wire interface; Execute()
-  /// wraps it with the typed outcome vocabulary.
+  /// One command pays one emulated round trip, however many typed
+  /// operations it dispatches to.
   virtual StatusOr<std::string> ExecuteCommand(const std::string& command) = 0;
 
-  /// Runs one proprietary command, classifying the result: a down
-  /// device yields kRetryable, a rejected command kPermanent.
-  CommandResult Execute(const std::string& command) {
-    return CommandResult::From(ExecuteCommand(command));
-  }
-
-  /// Runs several proprietary commands over ONE administrative session:
-  /// the emulated link RTT (see `latency()`) is paid once for the whole
-  /// batch instead of once per command. Results are positional and
-  /// typed; a failing command does not stop the rest.
-  virtual std::vector<CommandResult> ExecuteBatch(
-      const std::vector<std::string>& commands);
-
   /// Fetches the record with the given key value.
-  virtual StatusOr<lexpress::Record> GetRecord(const std::string& key) = 0;
+  StatusOr<lexpress::Record> GetRecord(const std::string& key)
+      EXCLUDES(mutex_);
 
-  /// Typed mutations used by the filter's protocol converter.
-  virtual Status AddRecord(const lexpress::Record& record) = 0;
+  /// Typed mutations used by the filter's protocol converter. The
+  /// device-generated field, if the device has one, is the device's
+  /// own: a caller's value is replaced on add and ignored on modify.
+  Status AddRecord(const lexpress::Record& record) EXCLUDES(mutex_);
 
   /// Change-command semantics: fields present in `record` are set,
   /// fields named in `clear_fields` are removed, all other fields
-  /// keep their values (legacy merge behaviour).
-  virtual Status ModifyRecord(const std::string& key,
-                              const lexpress::Record& record,
-                              const std::vector<std::string>&
-                                  clear_fields) = 0;
-  virtual Status DeleteRecord(const std::string& key) = 0;
+  /// keep their values (legacy merge behaviour). A new key value in
+  /// `record` rekeys the record; the key field cannot be cleared.
+  Status ModifyRecord(const std::string& key, const lexpress::Record& record,
+                      const std::vector<std::string>& clear_fields)
+      EXCLUDES(mutex_);
+  Status DeleteRecord(const std::string& key) EXCLUDES(mutex_);
 
   /// Every record; "if a repository is to be synchronized ... the API
   /// must also provide a method to retrieve all relevant data" (§4.1).
-  virtual StatusOr<std::vector<lexpress::Record>> DumpAll() = 0;
+  StatusOr<std::vector<lexpress::Record>> DumpAll() EXCLUDES(mutex_);
 
   /// Registers the change-notification callback (one per device).
-  virtual void SetNotificationHandler(NotificationHandler handler) = 0;
+  void SetNotificationHandler(NotificationHandler handler) EXCLUDES(mutex_);
 
   /// Fault-injection controls.
-  virtual FaultInjector& faults() = 0;
+  FaultInjector& faults() { return faults_; }
 
   /// Emulated administrative-link latency controls.
-  virtual LatencyEmulator& latency() = 0;
+  LatencyEmulator& latency() { return latency_; }
+
+ protected:
+  /// `generated_field` names the one field the device mints itself, or
+  /// is empty when it mints none.
+  Device(std::string name, std::string schema, std::string key_field,
+         std::string generated_field, int64_t command_rtt_micros);
+
+  /// Field-level validation (the only "typing" the device has); every
+  /// image passes it before it is stored.
+  virtual Status Validate(const lexpress::Record& record) const = 0;
+
+  /// Completes a validated new record. Runs under the store lock after
+  /// the duplicate check, so a rejected add leaves no trace.
+  virtual void OnAdd(lexpress::Record* record) REQUIRES(mutex_) = 0;
+
+  /// Number of records stored.
+  size_t RecordCount() const EXCLUDES(mutex_);
+
+  mutable Mutex mutex_{LockRank::kDeviceRecords, "devices.records"};
+
+ private:
+  Status NotFound(const std::string& key) const;
+  void Notify(lexpress::DescriptorOp op, lexpress::Record old_record,
+              lexpress::Record new_record) EXCLUDES(mutex_);
+
+  const std::string name_;
+  const std::string schema_;
+  const std::string key_field_;
+  const std::string generated_field_;
+  std::map<std::string, lexpress::Record> records_ GUARDED_BY(mutex_);
+  NotificationHandler handler_ GUARDED_BY(mutex_);
+  FaultInjector faults_;
+  LatencyEmulator latency_;
 };
 
 }  // namespace metacomm::devices

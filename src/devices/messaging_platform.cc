@@ -58,19 +58,11 @@ StatusOr<lexpress::Record> ParseAssignments(const std::string& command,
 }  // namespace
 
 MessagingPlatform::MessagingPlatform(MpConfig config)
-    : config_(std::move(config)) {
-  latency_.set_rtt_micros(config_.command_rtt_micros);
-}
+    : Device(config.name, "mp", "MailboxNumber", "SubscriberId",
+             config.command_rtt_micros),
+      config_(std::move(config)) {}
 
-Status MessagingPlatform::CheckMutationAllowed() {
-  // One gate for the whole fault schedule: manual disconnect,
-  // scheduled outage windows, flaky FailNext sequences, probabilistic
-  // errors, and injected timeout stalls.
-  return faults_.OnMutation(config_.name);
-}
-
-Status MessagingPlatform::ValidateMailbox(
-    const lexpress::Record& record) const {
+Status MessagingPlatform::Validate(const lexpress::Record& record) const {
   std::string number = record.GetFirst("MailboxNumber");
   if (number.empty() || !IsAllDigits(number)) {
     return Status::InvalidArgument(config_.name +
@@ -97,159 +89,19 @@ Status MessagingPlatform::ValidateMailbox(
   return Status::Ok();
 }
 
-std::string MessagingPlatform::GenerateSubscriberId() {
+void MessagingPlatform::OnAdd(lexpress::Record* record) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%s%06llu",
                 config_.subscriber_id_prefix.c_str(),
                 static_cast<unsigned long long>(next_subscriber_++));
-  return buf;
-}
-
-void MessagingPlatform::Notify(lexpress::DescriptorOp op,
-                               lexpress::Record old_record,
-                               lexpress::Record new_record) {
-  if (faults_.drop_notifications()) return;
-  NotificationHandler handler;
-  {
-    MutexLock lock(&mutex_);
-    handler = handler_;
-  }
-  if (!handler) return;
-  DeviceNotification notification;
-  notification.op = op;
-  notification.old_record = std::move(old_record);
-  notification.new_record = std::move(new_record);
-  notification.device_name = config_.name;
-  handler(notification);
-}
-
-Status MessagingPlatform::AddRecord(const lexpress::Record& record) {
-  latency_.OnCommand();
-  METACOMM_RETURN_IF_ERROR(CheckMutationAllowed());
-  lexpress::Record mailbox = record;
-  mailbox.set_schema(schema_);
-  METACOMM_RETURN_IF_ERROR(ValidateMailbox(mailbox));
-  std::string number = mailbox.GetFirst("MailboxNumber");
-  {
-    MutexLock lock(&mutex_);
-    if (mailboxes_.count(number) > 0) {
-      return Status::AlreadyExists(config_.name + ": mailbox " + number +
-                                   " exists");
-    }
-    // The platform owns subscriber ids; caller-supplied values are
-    // discarded (device-generated information, §5.5).
-    mailbox.SetOne("SubscriberId", GenerateSubscriberId());
-    mailboxes_.emplace(number, mailbox);
-  }
-  Notify(lexpress::DescriptorOp::kAdd, lexpress::Record(schema_), mailbox);
-  return Status::Ok();
-}
-
-Status MessagingPlatform::ModifyRecord(
-    const std::string& key, const lexpress::Record& record,
-    const std::vector<std::string>& clear_fields) {
-  latency_.OnCommand();
-  METACOMM_RETURN_IF_ERROR(CheckMutationAllowed());
-  lexpress::Record old_record(schema_);
-  lexpress::Record new_record = record;
-  new_record.set_schema(schema_);
-  {
-    MutexLock lock(&mutex_);
-    auto it = mailboxes_.find(key);
-    if (it == mailboxes_.end()) {
-      return Status::NotFound(config_.name + ": mailbox " + key +
-                              " not found");
-    }
-    old_record = it->second;
-    for (const auto& [field, value] : old_record.attrs()) {
-      if (!new_record.Has(field)) new_record.Set(field, value);
-    }
-    for (const std::string& field : clear_fields) {
-      if (EqualsIgnoreCase(field, "MailboxNumber") ||
-          EqualsIgnoreCase(field, "SubscriberId")) {
-        continue;
-      }
-      new_record.Remove(field);
-    }
-    if (new_record.GetFirst("MailboxNumber").empty()) {
-      new_record.SetOne("MailboxNumber", key);
-    }
-    // SubscriberId is immutable.
-    new_record.Set("SubscriberId", old_record.Get("SubscriberId"));
-    METACOMM_RETURN_IF_ERROR(ValidateMailbox(new_record));
-    std::string new_key = new_record.GetFirst("MailboxNumber");
-    if (new_key != key && mailboxes_.count(new_key) > 0) {
-      return Status::AlreadyExists(config_.name + ": mailbox " + new_key +
-                                   " exists");
-    }
-    mailboxes_.erase(it);
-    mailboxes_.emplace(new_key, new_record);
-  }
-  Notify(lexpress::DescriptorOp::kModify, old_record, new_record);
-  return Status::Ok();
-}
-
-Status MessagingPlatform::DeleteRecord(const std::string& key) {
-  latency_.OnCommand();
-  METACOMM_RETURN_IF_ERROR(CheckMutationAllowed());
-  lexpress::Record old_record(schema_);
-  {
-    MutexLock lock(&mutex_);
-    auto it = mailboxes_.find(key);
-    if (it == mailboxes_.end()) {
-      return Status::NotFound(config_.name + ": mailbox " + key +
-                              " not found");
-    }
-    old_record = it->second;
-    mailboxes_.erase(it);
-  }
-  Notify(lexpress::DescriptorOp::kDelete, old_record,
-         lexpress::Record(schema_));
-  return Status::Ok();
-}
-
-StatusOr<lexpress::Record> MessagingPlatform::GetRecord(
-    const std::string& key) {
-  latency_.OnCommand();
-  if (faults_.ReadBlocked()) {
-    return Status::Unavailable(config_.name + ": platform unreachable");
-  }
-  MutexLock lock(&mutex_);
-  auto it = mailboxes_.find(key);
-  if (it == mailboxes_.end()) {
-    return Status::NotFound(config_.name + ": mailbox " + key +
-                            " not found");
-  }
-  return it->second;
-}
-
-StatusOr<std::vector<lexpress::Record>> MessagingPlatform::DumpAll() {
-  latency_.OnCommand();
-  if (faults_.ReadBlocked()) {
-    return Status::Unavailable(config_.name + ": platform unreachable");
-  }
-  MutexLock lock(&mutex_);
-  std::vector<lexpress::Record> out;
-  out.reserve(mailboxes_.size());
-  for (const auto& [key, record] : mailboxes_) out.push_back(record);
-  return out;
-}
-
-void MessagingPlatform::SetNotificationHandler(NotificationHandler handler) {
-  MutexLock lock(&mutex_);
-  handler_ = std::move(handler);
-}
-
-size_t MessagingPlatform::MailboxCount() const {
-  MutexLock lock(&mutex_);
-  return mailboxes_.size();
+  record->SetOne("SubscriberId", buf);
 }
 
 StatusOr<std::string> MessagingPlatform::ExecuteCommand(
     const std::string& command) {
   // One command = one administrative round-trip; the typed operations
   // the command dispatches to below ride this session for free.
-  LatencyEmulator::SessionScope rtt_session(&latency_);
+  LatencyEmulator::SessionScope rtt_session(&latency());
   std::string trimmed = Trim(command);
   std::vector<std::string> head = Split(trimmed, ' ');
   if (head.size() < 2) {
@@ -258,13 +110,12 @@ StatusOr<std::string> MessagingPlatform::ExecuteCommand(
   const std::string& verb = head[0];
 
   if (EqualsIgnoreCase(verb, "LIST")) {
-    if (faults_.ReadBlocked()) {
-      return Status::Unavailable(config_.name + ": platform unreachable");
-    }
+    METACOMM_ASSIGN_OR_RETURN(std::vector<lexpress::Record> mailboxes,
+                              DumpAll());
     std::string out;
-    MutexLock lock(&mutex_);
-    for (const auto& [key, record] : mailboxes_) {
-      out += key + " " + record.GetFirst("SubscriberId") + " " +
+    for (const lexpress::Record& record : mailboxes) {
+      out += record.GetFirst("MailboxNumber") + " " +
+             record.GetFirst("SubscriberId") + " " +
              record.GetFirst("SubscriberName") + "\n";
     }
     return out;
@@ -294,7 +145,7 @@ StatusOr<std::string> MessagingPlatform::ExecuteCommand(
 
   METACOMM_ASSIGN_OR_RETURN(
       lexpress::Record record,
-      ParseAssignments(trimmed, std::min(after, trimmed.size()), schema_));
+      ParseAssignments(trimmed, std::min(after, trimmed.size()), schema()));
   // The addressed mailbox is the record's number unless the command
   // explicitly renumbers it (MODIFY ... MailboxNumber=<new>).
   if (record.GetFirst("MailboxNumber").empty()) {

@@ -2,11 +2,9 @@
 #define METACOMM_DEVICES_MESSAGING_PLATFORM_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "devices/device.h"
 
@@ -46,45 +44,17 @@ class MessagingPlatform : public Device {
  public:
   explicit MessagingPlatform(MpConfig config);
 
-  const std::string& name() const override { return config_.name; }
-  const std::string& schema() const override { return schema_; }
-
   StatusOr<std::string> ExecuteCommand(const std::string& command) override;
-  StatusOr<lexpress::Record> GetRecord(const std::string& key) override;
 
-  /// Adds a mailbox; any caller-supplied SubscriberId is ignored and a
-  /// fresh one generated. The notification's new_record carries the
-  /// generated id so MetaComm can propagate it.
-  Status AddRecord(const lexpress::Record& record) override;
-
-  Status ModifyRecord(const std::string& key,
-                      const lexpress::Record& record,
-                      const std::vector<std::string>& clear_fields)
-      override;
-  Status DeleteRecord(const std::string& key) override;
-  StatusOr<std::vector<lexpress::Record>> DumpAll() override;
-  void SetNotificationHandler(NotificationHandler handler) override;
-  FaultInjector& faults() override { return faults_; }
-  LatencyEmulator& latency() override { return latency_; }
-
-  size_t MailboxCount() const;
+  size_t MailboxCount() const { return RecordCount(); }
 
  private:
-  Status CheckMutationAllowed();
-  Status ValidateMailbox(const lexpress::Record& record) const;
-  void Notify(lexpress::DescriptorOp op, lexpress::Record old_record,
-              lexpress::Record new_record) EXCLUDES(mutex_);
-  std::string GenerateSubscriberId() REQUIRES(mutex_);
+  Status Validate(const lexpress::Record& record) const override;
+  /// Mints the mailbox's SubscriberId; the add notification carries
+  /// it so MetaComm can propagate it (§5.5).
+  void OnAdd(lexpress::Record* record) REQUIRES(mutex_) override;
 
   MpConfig config_;
-  std::string schema_ = "mp";
-  mutable Mutex mutex_{LockRank::kDeviceRecords,
-                       "devices.messaging_platform"};
-  // by MailboxNumber
-  std::map<std::string, lexpress::Record> mailboxes_ GUARDED_BY(mutex_);
-  NotificationHandler handler_ GUARDED_BY(mutex_);
-  FaultInjector faults_;
-  LatencyEmulator latency_;
   uint64_t next_subscriber_ GUARDED_BY(mutex_) = 1;
 };
 

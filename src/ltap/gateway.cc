@@ -1,31 +1,9 @@
 #include "ltap/gateway.h"
 
 #include <chrono>
+#include <string>
 
 namespace metacomm::ltap {
-
-namespace {
-
-/// RAII helper releasing an entry lock on scope exit.
-class ScopedLock {
- public:
-  ScopedLock(LockTable* table, const ldap::Dn& dn, uint64_t session,
-             bool enabled)
-      : table_(table), dn_(dn), session_(session), enabled_(enabled) {}
-  ~ScopedLock() {
-    if (enabled_) table_->Release(dn_, session_);
-  }
-  ScopedLock(const ScopedLock&) = delete;
-  ScopedLock& operator=(const ScopedLock&) = delete;
-
- private:
-  LockTable* table_;
-  ldap::Dn dn_;
-  uint64_t session_;
-  bool enabled_;
-};
-
-}  // namespace
 
 LtapGateway::LtapGateway(ldap::LdapService* backend, GatewayConfig config)
     : backend_(backend), config_(config) {}
@@ -138,7 +116,7 @@ std::optional<ldap::Entry> LtapGateway::Snapshot(const ldap::Dn& dn) {
   StatusOr<ldap::SearchResult> result =
       backend_->Search(internal_ctx, request);
   if (!result.ok() || result->entries.empty()) return std::nullopt;
-  return result->entries.front();
+  return std::move(result->entries.front());
 }
 
 Status LtapGateway::FireTriggers(TriggerTiming timing,
@@ -162,42 +140,92 @@ Status LtapGateway::FireTriggers(TriggerTiming timing,
   return first_error;
 }
 
+template <typename WriteFn>
+Status LtapGateway::Update(const ldap::OpContext& ctx,
+                           UpdateNotification& notification,
+                           WriteFn write) {
+  METACOMM_RETURN_IF_ERROR(EnterUpdate(ctx.session_id));
+  // One release for every exit: the entry locks taken, then the
+  // in-flight slot.
+  struct Release {
+    LtapGateway* gw;
+    uint64_t session;
+    const ldap::Dn* locked[2] = {nullptr, nullptr};
+    ~Release() {
+      for (const ldap::Dn* dn : locked) {
+        if (dn != nullptr) gw->locks_.Release(*dn, session);
+      }
+      gw->ExitUpdate();
+    }
+  } release{this, ctx.session_id};
+
+  if (config_.locking_enabled) {
+    // A rename also locks its new name, so updates addressed to it
+    // serialize with the rename. Both names are taken in normalized-DN
+    // order, the order the Update Manager locks a DDU's names in, so
+    // no two updates can each hold one name while waiting on the other.
+    const ldap::Dn* names[2] = {&notification.dn, nullptr};
+    if (notification.new_dn.has_value()) {
+      std::string from = notification.dn.Normalized();
+      std::string to = notification.new_dn->Normalized();
+      if (to < from) {
+        names[1] = names[0];
+        names[0] = &*notification.new_dn;
+      } else if (to != from) {
+        names[1] = &*notification.new_dn;
+      }
+    }
+    for (int i = 0; i < 2 && names[i] != nullptr; ++i) {
+      METACOMM_RETURN_IF_ERROR(locks_.Acquire(*names[i], ctx.session_id,
+                                              config_.lock_timeout_micros));
+      release.locked[i] = names[i];
+    }
+  }
+
+  if (notification.op != ldap::UpdateOp::kAdd) {
+    notification.old_entry = Snapshot(notification.dn);
+    if (!notification.old_entry.has_value()) {
+      return Status::NotFound("no such object: " +
+                              notification.dn.ToString());
+    }
+  }
+  notification.principal = ctx.principal;
+  notification.session_id = ctx.session_id;
+
+  // Before-triggers see the old image, or an Add's proposed entry.
+  notification.timing = TriggerTiming::kBefore;
+  METACOMM_RETURN_IF_ERROR(
+      FireTriggers(TriggerTiming::kBefore, notification,
+                   notification.old_entry ? *notification.old_entry
+                                          : *notification.new_entry));
+
+  METACOMM_RETURN_IF_ERROR(write());
+
+  // After-triggers see the stored image (an Add whose image cannot be
+  // read back keeps its proposed entry); a Delete has none.
+  if (notification.op != ldap::UpdateOp::kDelete) {
+    std::optional<ldap::Entry> stored = Snapshot(
+        notification.new_dn ? *notification.new_dn : notification.dn);
+    if (stored.has_value()) notification.new_entry = std::move(stored);
+  }
+  notification.timing = TriggerTiming::kAfter;
+  return FireTriggers(TriggerTiming::kAfter, notification,
+                      notification.new_entry ? *notification.new_entry
+                                             : *notification.old_entry);
+}
+
 Status LtapGateway::Add(const ldap::OpContext& ctx,
                         const ldap::AddRequest& request) {
   if (ctx.internal) {
     counters_.internal_ops.fetch_add(1, std::memory_order_relaxed);
     return backend_->Add(ctx, request);
   }
-  METACOMM_RETURN_IF_ERROR(EnterUpdate(ctx.session_id));
-  struct ExitGuard {
-    LtapGateway* gw;
-    ~ExitGuard() { gw->ExitUpdate(); }
-  } exit_guard{this};
-
-  const ldap::Dn& dn = request.entry.dn();
-  if (config_.locking_enabled) {
-    METACOMM_RETURN_IF_ERROR(
-        locks_.Acquire(dn, ctx.session_id, config_.lock_timeout_micros));
-  }
-  ScopedLock lock(&locks_, dn, ctx.session_id, config_.locking_enabled);
-
   UpdateNotification notification;
   notification.op = ldap::UpdateOp::kAdd;
-  notification.dn = dn;
+  notification.dn = request.entry.dn();
   notification.new_entry = request.entry;
-  notification.principal = ctx.principal;
-  notification.session_id = ctx.session_id;
-
-  notification.timing = TriggerTiming::kBefore;
-  METACOMM_RETURN_IF_ERROR(
-      FireTriggers(TriggerTiming::kBefore, notification, request.entry));
-
-  METACOMM_RETURN_IF_ERROR(backend_->Add(ctx, request));
-
-  notification.timing = TriggerTiming::kAfter;
-  notification.new_entry = Snapshot(dn);
-  return FireTriggers(TriggerTiming::kAfter, notification,
-                      notification.new_entry.value_or(request.entry));
+  return Update(ctx, notification,
+                [&] { return backend_->Add(ctx, request); });
 }
 
 Status LtapGateway::Delete(const ldap::OpContext& ctx,
@@ -206,39 +234,11 @@ Status LtapGateway::Delete(const ldap::OpContext& ctx,
     counters_.internal_ops.fetch_add(1, std::memory_order_relaxed);
     return backend_->Delete(ctx, request);
   }
-  METACOMM_RETURN_IF_ERROR(EnterUpdate(ctx.session_id));
-  struct ExitGuard {
-    LtapGateway* gw;
-    ~ExitGuard() { gw->ExitUpdate(); }
-  } exit_guard{this};
-
-  if (config_.locking_enabled) {
-    METACOMM_RETURN_IF_ERROR(locks_.Acquire(request.dn, ctx.session_id,
-                                            config_.lock_timeout_micros));
-  }
-  ScopedLock lock(&locks_, request.dn, ctx.session_id,
-                  config_.locking_enabled);
-
-  std::optional<ldap::Entry> old_entry = Snapshot(request.dn);
-  if (!old_entry.has_value()) {
-    return Status::NotFound("no such object: " + request.dn.ToString());
-  }
-
   UpdateNotification notification;
   notification.op = ldap::UpdateOp::kDelete;
   notification.dn = request.dn;
-  notification.old_entry = old_entry;
-  notification.principal = ctx.principal;
-  notification.session_id = ctx.session_id;
-
-  notification.timing = TriggerTiming::kBefore;
-  METACOMM_RETURN_IF_ERROR(
-      FireTriggers(TriggerTiming::kBefore, notification, *old_entry));
-
-  METACOMM_RETURN_IF_ERROR(backend_->Delete(ctx, request));
-
-  notification.timing = TriggerTiming::kAfter;
-  return FireTriggers(TriggerTiming::kAfter, notification, *old_entry);
+  return Update(ctx, notification,
+                [&] { return backend_->Delete(ctx, request); });
 }
 
 Status LtapGateway::Modify(const ldap::OpContext& ctx,
@@ -247,44 +247,12 @@ Status LtapGateway::Modify(const ldap::OpContext& ctx,
     counters_.internal_ops.fetch_add(1, std::memory_order_relaxed);
     return backend_->Modify(ctx, request);
   }
-  METACOMM_RETURN_IF_ERROR(EnterUpdate(ctx.session_id));
-  struct ExitGuard {
-    LtapGateway* gw;
-    ~ExitGuard() { gw->ExitUpdate(); }
-  } exit_guard{this};
-
-  if (config_.locking_enabled) {
-    METACOMM_RETURN_IF_ERROR(locks_.Acquire(request.dn, ctx.session_id,
-                                            config_.lock_timeout_micros));
-  }
-  ScopedLock lock(&locks_, request.dn, ctx.session_id,
-                  config_.locking_enabled);
-
-  std::optional<ldap::Entry> old_entry = Snapshot(request.dn);
-  if (!old_entry.has_value()) {
-    return Status::NotFound("no such object: " + request.dn.ToString());
-  }
-
   UpdateNotification notification;
   notification.op = ldap::UpdateOp::kModify;
   notification.dn = request.dn;
   notification.mods = request.mods;
-  notification.old_entry = old_entry;
-  notification.principal = ctx.principal;
-  notification.session_id = ctx.session_id;
-
-  notification.timing = TriggerTiming::kBefore;
-  METACOMM_RETURN_IF_ERROR(
-      FireTriggers(TriggerTiming::kBefore, notification, *old_entry));
-
-  METACOMM_RETURN_IF_ERROR(backend_->Modify(ctx, request));
-
-  notification.timing = TriggerTiming::kAfter;
-  notification.new_entry = Snapshot(request.dn);
-  return FireTriggers(
-      TriggerTiming::kAfter, notification,
-      notification.new_entry.has_value() ? *notification.new_entry
-                                         : *old_entry);
+  return Update(ctx, notification,
+                [&] { return backend_->Modify(ctx, request); });
 }
 
 Status LtapGateway::ModifyRdn(const ldap::OpContext& ctx,
@@ -293,54 +261,12 @@ Status LtapGateway::ModifyRdn(const ldap::OpContext& ctx,
     counters_.internal_ops.fetch_add(1, std::memory_order_relaxed);
     return backend_->ModifyRdn(ctx, request);
   }
-  METACOMM_RETURN_IF_ERROR(EnterUpdate(ctx.session_id));
-  struct ExitGuard {
-    LtapGateway* gw;
-    ~ExitGuard() { gw->ExitUpdate(); }
-  } exit_guard{this};
-
-  ldap::Dn new_dn = request.dn.WithLeaf(request.new_rdn);
-  if (config_.locking_enabled) {
-    METACOMM_RETURN_IF_ERROR(locks_.Acquire(request.dn, ctx.session_id,
-                                            config_.lock_timeout_micros));
-  }
-  ScopedLock lock_old(&locks_, request.dn, ctx.session_id,
-                      config_.locking_enabled);
-  // Also lock the post-rename name so concurrent updates addressed to
-  // the new DN serialize with this rename.
-  bool lock_new = config_.locking_enabled &&
-                  new_dn.Normalized() != request.dn.Normalized();
-  if (lock_new) {
-    METACOMM_RETURN_IF_ERROR(locks_.Acquire(new_dn, ctx.session_id,
-                                            config_.lock_timeout_micros));
-  }
-  ScopedLock lock_new_guard(&locks_, new_dn, ctx.session_id, lock_new);
-
-  std::optional<ldap::Entry> old_entry = Snapshot(request.dn);
-  if (!old_entry.has_value()) {
-    return Status::NotFound("no such object: " + request.dn.ToString());
-  }
-
   UpdateNotification notification;
   notification.op = ldap::UpdateOp::kModifyRdn;
   notification.dn = request.dn;
-  notification.new_dn = new_dn;
-  notification.old_entry = old_entry;
-  notification.principal = ctx.principal;
-  notification.session_id = ctx.session_id;
-
-  notification.timing = TriggerTiming::kBefore;
-  METACOMM_RETURN_IF_ERROR(
-      FireTriggers(TriggerTiming::kBefore, notification, *old_entry));
-
-  METACOMM_RETURN_IF_ERROR(backend_->ModifyRdn(ctx, request));
-
-  notification.timing = TriggerTiming::kAfter;
-  notification.new_entry = Snapshot(new_dn);
-  return FireTriggers(
-      TriggerTiming::kAfter, notification,
-      notification.new_entry.has_value() ? *notification.new_entry
-                                         : *old_entry);
+  notification.new_dn = request.dn.WithLeaf(request.new_rdn);
+  return Update(ctx, notification,
+                [&] { return backend_->ModifyRdn(ctx, request); });
 }
 
 StatusOr<ldap::SearchResult> LtapGateway::Search(

@@ -123,6 +123,16 @@ class LtapGateway : public ldap::LdapService {
   Status EnterUpdate(uint64_t session) EXCLUDES(state_mutex_);
   void ExitUpdate() EXCLUDES(state_mutex_);
 
+  /// The LTAP write protocol (§4.3) all four update operations share:
+  /// quiesce gate, entry lock(s), old image (NotFound when a
+  /// Delete/Modify/ModifyRdn target is absent), before-triggers (a veto
+  /// aborts), `write()`, stored image, after-triggers under the lock.
+  /// The caller fills `notification`'s op, DNs, mods and an Add's
+  /// entry; the rest is filled here.
+  template <typename WriteFn>
+  Status Update(const ldap::OpContext& ctx, UpdateNotification& notification,
+                WriteFn write) EXCLUDES(state_mutex_);
+
   /// Fetches the current entry image at `dn` from the backend (using
   /// an internal read), or nullopt when absent.
   std::optional<ldap::Entry> Snapshot(const ldap::Dn& dn);

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <ostream>
+#include <string>
+
 #include "devices/definity_pbx.h"
 #include "devices/messaging_platform.h"
 
@@ -264,6 +269,172 @@ TEST_F(MpTest, FaultInjection) {
                 .code(),
             StatusCode::kInternal);
 }
+
+// ---------- The store both devices share ----------
+
+/// What the store contract needs to drive one device.
+struct StoreCase {
+  const char* label;
+  std::function<std::unique_ptr<Device>()> make;
+  /// A record the device accepts under `key`.
+  std::function<Record(const std::string& key)> record;
+  /// The device's own command adding that record.
+  std::function<std::string(const std::string& key)> add_command;
+  /// A field the add hook fills on the first add, and its value.
+  const char* hook_field;
+  const char* hook_value;
+};
+
+void PrintTo(const StoreCase& store_case, std::ostream* os) {
+  *os << store_case.label;
+}
+
+StoreCase PbxCase() {
+  return {"Pbx",
+          [] { return std::make_unique<DefinityPbx>(PbxConfig{}); },
+          [](const std::string& key) {
+            Record record("pbx");
+            record.SetOne("Extension", key);
+            record.SetOne("Name", "Pat Doe");
+            return record;
+          },
+          [](const std::string& key) {
+            return "add station " + key + " Name \"Pat Doe\"";
+          },
+          "Cos", "1"};
+}
+
+StoreCase MpCase() {
+  return {"Mp",
+          [] { return std::make_unique<MessagingPlatform>(MpConfig{}); },
+          [](const std::string& key) {
+            Record record("mp");
+            record.SetOne("MailboxNumber", key);
+            record.SetOne("SubscriberName", "Pat Doe");
+            return record;
+          },
+          [](const std::string& key) {
+            return "ADD MAILBOX " + key + " SubscriberName=\"Pat Doe\"";
+          },
+          "SubscriberId", "SUB000001"};
+}
+
+class StoreContractTest : public ::testing::TestWithParam<StoreCase> {
+ protected:
+  StoreContractTest() : device_(GetParam().make()) {
+    device_->SetNotificationHandler(
+        [this](const DeviceNotification&) { ++notified_; });
+  }
+
+  Record Valid(const std::string& key) { return GetParam().record(key); }
+  Record Unknown(const std::string& key) {
+    Record record = Valid(key);
+    record.SetOne("Bogus", "x");
+    return record;
+  }
+  std::string AddCommand(const std::string& key) {
+    return GetParam().add_command(key);
+  }
+
+  std::unique_ptr<Device> device_;
+  int notified_ = 0;
+};
+
+TEST_P(StoreContractTest, RekeyOntoAnExistingKeyIsRefusedSilently) {
+  ASSERT_TRUE(device_->AddRecord(Valid("1001")).ok());
+  ASSERT_TRUE(device_->AddRecord(Valid("1002")).ok());
+  notified_ = 0;
+  Record rekey(device_->schema());
+  rekey.SetOne(device_->key_field(), "1002");
+  EXPECT_EQ(device_->ModifyRecord("1001", rekey, {}).code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(notified_, 0);
+  EXPECT_TRUE(device_->GetRecord("1001").ok());
+  EXPECT_EQ(device_->DumpAll()->size(), 2u);
+}
+
+TEST_P(StoreContractTest, ClearingTheKeyFieldIsIgnored) {
+  ASSERT_TRUE(device_->AddRecord(Valid("1001")).ok());
+  ASSERT_TRUE(device_
+                  ->ModifyRecord("1001", Record(device_->schema()),
+                                 {device_->key_field()})
+                  .ok());
+  StatusOr<Record> stored = device_->GetRecord("1001");
+  ASSERT_TRUE(stored.ok()) << stored.status();
+  EXPECT_EQ(stored->GetFirst(device_->key_field()), "1001");
+}
+
+TEST_P(StoreContractTest, RejectedWritesNotifyNothing) {
+  EXPECT_EQ(device_->AddRecord(Unknown("1001")).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(device_->ModifyRecord("1001", Valid("1001"), {}).code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(device_->DeleteRecord("1001").code(), StatusCode::kNotFound);
+  device_->faults().FailNext(1);
+  EXPECT_EQ(device_->AddRecord(Valid("1001")).code(), StatusCode::kInternal);
+  EXPECT_EQ(notified_, 0);
+
+  ASSERT_TRUE(device_->AddRecord(Valid("1001")).ok());
+  EXPECT_EQ(device_->AddRecord(Valid("1001")).code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(device_->ModifyRecord("1001", Unknown("1001"), {}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(notified_, 1);  // The accepted add only.
+}
+
+TEST_P(StoreContractTest, EachTypedMutationCountsOnce) {
+  const FaultInjector& faults = device_->faults();
+  ASSERT_TRUE(device_->AddRecord(Valid("1001")).ok());
+  EXPECT_EQ(faults.mutations_seen(), 1u);
+  ASSERT_TRUE(device_->ModifyRecord("1001", Valid("1001"), {}).ok());
+  EXPECT_EQ(faults.mutations_seen(), 2u);
+  ASSERT_TRUE(device_->GetRecord("1001").ok());
+  ASSERT_TRUE(device_->DumpAll().ok());
+  EXPECT_EQ(faults.mutations_seen(), 2u);  // Reads are not mutations.
+  ASSERT_TRUE(device_->DeleteRecord("1001").ok());
+  EXPECT_EQ(faults.mutations_seen(), 3u);
+  EXPECT_EQ(device_->DeleteRecord("1001").code(), StatusCode::kNotFound);
+  EXPECT_EQ(faults.mutations_seen(), 4u);  // A refused one counts too.
+}
+
+TEST_P(StoreContractTest, OneCommandPaysOneRoundTrip) {
+  LatencyEmulator& latency = device_->latency();
+  latency.set_rtt_micros(1);
+  ASSERT_TRUE(device_->ExecuteCommand(AddCommand("1001")).ok());
+  EXPECT_EQ(latency.round_trips(), 1u);
+  // A typed call outside a command pays its own.
+  ASSERT_TRUE(device_->GetRecord("1001").ok());
+  EXPECT_EQ(latency.round_trips(), 2u);
+}
+
+TEST_P(StoreContractTest, RejectedAddsLeaveNoTrace) {
+  // Whatever a rejected add tried, the next accepted adds store what
+  // they would on a fresh device: on the messaging platform, a
+  // rejected ADD mints no SubscriberId.
+  EXPECT_FALSE(device_->AddRecord(Unknown("1001")).ok());
+  device_->faults().FailNext(1);
+  EXPECT_FALSE(device_->ExecuteCommand(AddCommand("1001")).ok());
+  ASSERT_TRUE(device_->ExecuteCommand(AddCommand("1001")).ok());
+  EXPECT_FALSE(device_->ExecuteCommand(AddCommand("1001")).ok());
+  ASSERT_TRUE(device_->AddRecord(Valid("1002")).ok());
+
+  std::unique_ptr<Device> fresh = GetParam().make();
+  ASSERT_TRUE(fresh->ExecuteCommand(AddCommand("1001")).ok());
+  ASSERT_TRUE(fresh->AddRecord(Valid("1002")).ok());
+  for (const char* key : {"1001", "1002"}) {
+    EXPECT_EQ(device_->GetRecord(key)->ToString(),
+              fresh->GetRecord(key)->ToString())
+        << key;
+  }
+  EXPECT_EQ(device_->GetRecord("1001")->GetFirst(GetParam().hook_field),
+            GetParam().hook_value);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothDevices, StoreContractTest,
+                         ::testing::Values(PbxCase(), MpCase()),
+                         [](const ::testing::TestParamInfo<StoreCase>& info) {
+                           return std::string(info.param.label);
+                         });
 
 }  // namespace
 }  // namespace metacomm::devices

@@ -119,7 +119,7 @@ TEST(FaultInjectorTest, ReadsBlockedOnlyWhileWindowActive) {
   devices::FaultInjector faults;
   faults.ScheduleOutage(/*after_commands=*/0, /*length_commands=*/2);
   EXPECT_TRUE(faults.ReadBlocked());
-  EXPECT_TRUE(faults.outage_active());
+  EXPECT_TRUE(faults.ReadBlocked());
   // Reads do not advance the window; mutations do.
   EXPECT_TRUE(faults.ReadBlocked());
   EXPECT_FALSE(faults.OnMutation("dev").ok());
@@ -544,7 +544,7 @@ TEST_F(FaultToleranceTest, ScriptedOutageDegradesThenRecovers) {
         "MODIFY MAILBOX 4567 Greeting=maintenance");
     EXPECT_EQ(reply.status().code(), StatusCode::kUnavailable) << i;
   }
-  EXPECT_FALSE(system_->mp("mp1")->faults().outage_active());
+  EXPECT_FALSE(system_->mp("mp1")->faults().ReadBlocked());
 
   RealClock::Get()->SleepMicros(5'000);
   ASSERT_TRUE(system_->update_manager().RunRepairPass().ok());

@@ -126,8 +126,7 @@ class DeviceFilterTest : public ::testing::Test {
     EXPECT_TRUE(mappings.ok()) << mappings.status();
     filter_ = std::make_unique<DeviceFilter>(
         &pbx_, std::make_unique<PbxProtocolConverter>(&pbx_),
-        std::move((*mappings)[0]), std::move((*mappings)[1]),
-        "Extension");
+        std::move((*mappings)[0]), std::move((*mappings)[1]));
   }
 
   UpdateDescriptor AddDescriptor(const char* extension, const char* name,

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <initializer_list>
 #include <thread>
 
 #include "ldap/client.h"
+#include "ldap/ldif.h"
 #include "ldap/server.h"
 
 namespace metacomm::ltap {
@@ -73,6 +76,32 @@ class LtapTest : public ::testing::Test {
     gateway_.RegisterTrigger(std::move(spec));
   }
 
+  void RegisterBeforeTrigger(RecordingServer* action) {
+    TriggerSpec spec;
+    spec.name = "before";
+    spec.base = *Dn::Parse("o=Lucent");
+    spec.timing = TriggerTiming::kBefore;
+    spec.server = action;
+    gateway_.RegisterTrigger(std::move(spec));
+  }
+
+  /// Every update on `gateway` has released what it took: no entry
+  /// lock on `dns`, and no update in flight, so a quiesce window opens
+  /// at once.
+  static void ExpectSettled(LtapGateway& gateway,
+                            std::initializer_list<const char*> dns) {
+    for (const char* dn : dns) {
+      EXPECT_FALSE(gateway.lock_table().IsLocked(*Dn::Parse(dn))) << dn;
+    }
+    uint64_t session = gateway.NewSession();
+    EXPECT_TRUE(gateway.Quiesce(session).ok());
+    gateway.Unquiesce(session);
+  }
+
+  std::string DirectoryLdif() {
+    return ldap::ToLdif(server_.backend().DumpAll());
+  }
+
   Status AddPerson(Client& client, const std::string& cn) {
     return client.Add("cn=" + cn + ",o=Lucent",
                       {{"objectClass", "top"},
@@ -133,6 +162,23 @@ TEST_F(LtapTest, BeforeTriggerCanVeto) {
   EXPECT_EQ(status.code(), StatusCode::kPermissionDenied);
   EXPECT_FALSE(server_.backend().Exists(*Dn::Parse("cn=John Doe,o=Lucent")));
   EXPECT_EQ(gateway_.stats().vetoes, 1u);
+  ExpectSettled(gateway_, {"cn=John Doe,o=Lucent"});
+
+  // Delete, Modify and ModifyRdn are vetoed the same way, and each
+  // leaves the directory as it was.
+  Client internal(&gateway_);
+  internal.set_internal(true);
+  ASSERT_TRUE(AddPerson(internal, "Jane Roe").ok());
+  const std::string before = DirectoryLdif();
+  EXPECT_EQ(client.Delete("cn=Jane Roe,o=Lucent").code(),
+            StatusCode::kPermissionDenied);
+  EXPECT_EQ(client.Replace("cn=Jane Roe,o=Lucent", "sn", "Y").code(),
+            StatusCode::kPermissionDenied);
+  EXPECT_EQ(client.ModifyRdn("cn=Jane Roe,o=Lucent", "cn=Jane Doe").code(),
+            StatusCode::kPermissionDenied);
+  EXPECT_EQ(DirectoryLdif(), before);
+  EXPECT_EQ(gateway_.stats().vetoes, 4u);
+  ExpectSettled(gateway_, {"cn=Jane Roe,o=Lucent", "cn=Jane Doe,o=Lucent"});
 }
 
 TEST_F(LtapTest, TriggerScopeAndOpMaskFilter) {
@@ -313,9 +359,59 @@ TEST_F(LtapTest, StatsCountReadsAndUpdates) {
 }
 
 TEST_F(LtapTest, DeleteOnMissingEntryReportsNotFound) {
+  // Modify and ModifyRdn take the same path: NotFound before any
+  // trigger fires, and nothing left held.
+  RecordingServer before;
+  RegisterBeforeTrigger(&before);
+  RecordingServer after;
+  RegisterAfterTrigger(&after);
   Client client(&gateway_);
   EXPECT_EQ(client.Delete("cn=Ghost,o=Lucent").code(),
             StatusCode::kNotFound);
+  EXPECT_EQ(client.Replace("cn=Ghost,o=Lucent", "sn", "Y").code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(client.ModifyRdn("cn=Ghost,o=Lucent", "cn=Spirit").code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(before.Count(), 0u);
+  EXPECT_EQ(after.Count(), 0u);
+  ExpectSettled(gateway_, {"cn=Ghost,o=Lucent", "cn=Spirit,o=Lucent"});
+}
+
+TEST_F(LtapTest, EveryEarlyExitReleasesWhatItTook) {
+  GatewayConfig config;
+  config.lock_timeout_micros = 20'000;
+  config.quiesce_wait_micros = 20'000;
+  LtapGateway gateway(&server_, config);
+  Client client(&gateway);
+  client.set_session_id(gateway.NewSession());
+  ASSERT_TRUE(AddPerson(client, "B").ok());
+  ASSERT_TRUE(AddPerson(client, "C").ok());
+
+  // The backend refuses the write.
+  EXPECT_EQ(AddPerson(client, "B").code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(client.ModifyRdn("cn=B,o=Lucent", "cn=C").code(),
+            StatusCode::kAlreadyExists);
+  ExpectSettled(gateway, {"cn=B,o=Lucent", "cn=C,o=Lucent"});
+
+  // A lock wait times out, on a rename's second name after it took
+  // its first.
+  uint64_t holder = gateway.NewSession();
+  ASSERT_TRUE(gateway.LockEntry(*Dn::Parse("cn=Z,o=Lucent"), holder).ok());
+  EXPECT_EQ(client.Replace("cn=Z,o=Lucent", "sn", "Y").code(),
+            StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(client.ModifyRdn("cn=B,o=Lucent", "cn=Z").code(),
+            StatusCode::kDeadlineExceeded);
+  EXPECT_FALSE(gateway.lock_table().IsLocked(*Dn::Parse("cn=B,o=Lucent")));
+  gateway.UnlockEntry(*Dn::Parse("cn=Z,o=Lucent"), holder);
+  ExpectSettled(gateway, {"cn=B,o=Lucent", "cn=Z,o=Lucent"});
+
+  // A quiesce window outlasts the wait for it.
+  uint64_t sync_session = gateway.NewSession();
+  ASSERT_TRUE(gateway.Quiesce(sync_session).ok());
+  EXPECT_EQ(client.Replace("cn=B,o=Lucent", "sn", "Y").code(),
+            StatusCode::kConflict);
+  gateway.Unquiesce(sync_session);
+  ExpectSettled(gateway, {"cn=B,o=Lucent"});
 }
 
 TEST_F(LtapTest, GatewaysStack) {
@@ -363,6 +459,38 @@ TEST_F(LtapTest, ModifyRdnLocksBothNames) {
       *Dn::Parse("cn=New Name,o=Lucent")));
 }
 
+TEST_F(LtapTest, RenameTakesBothNamesInNormalizedDnOrder) {
+  // The Update Manager locks a DDU's names in normalized-DN order. A
+  // rename B -> A that held B while it waited for A could stall
+  // against an update that holds A and waits for B until the lock
+  // timeout; in DN order the rename waits for A holding nothing.
+  Client client(&gateway_);
+  ASSERT_TRUE(AddPerson(client, "B").ok());
+  Dn a = *Dn::Parse("cn=A,o=Lucent");
+  Dn b = *Dn::Parse("cn=B,o=Lucent");
+  uint64_t holder = gateway_.NewSession();
+  ASSERT_TRUE(gateway_.LockEntry(a, holder).ok());
+
+  uint64_t contended = gateway_.lock_table().contended_acquisitions();
+  Client renamer(&gateway_);
+  renamer.set_session_id(gateway_.NewSession());
+  Status status;
+  std::thread rename(
+      [&] { status = renamer.ModifyRdn("cn=B,o=Lucent", "cn=A"); });
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (gateway_.lock_table().contended_acquisitions() == contended &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  ASSERT_GT(gateway_.lock_table().contended_acquisitions(), contended);
+  EXPECT_FALSE(gateway_.lock_table().IsLocked(b));
+  gateway_.UnlockEntry(a, holder);
+  rename.join();
+  EXPECT_TRUE(status.ok()) << status;
+  EXPECT_TRUE(server_.backend().Exists(a));
+  ExpectSettled(gateway_, {"cn=A,o=Lucent", "cn=B,o=Lucent"});
+}
+
 TEST_F(LtapTest, AfterTriggerErrorReportedButWriteStands) {
   RecordingServer action;
   action.next_status = Status::Internal("action server hiccup");
@@ -373,6 +501,7 @@ TEST_F(LtapTest, AfterTriggerErrorReportedButWriteStands) {
   EXPECT_EQ(status.code(), StatusCode::kInternal);
   // ...but the directory write already happened (after-trigger).
   EXPECT_TRUE(server_.backend().Exists(*Dn::Parse("cn=Kept,o=Lucent")));
+  ExpectSettled(gateway_, {"cn=Kept,o=Lucent"});
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Runs every bench binary with --json and collects the BENCH_<name>.json
 # reports. A full run writes them at the repo root, over the committed
-# baselines; --smoke and --compare runs write them under build/ and
-# leave the committed baselines alone. Run from anywhere:
+# baselines; --smoke runs write them under build/ and --compare runs
+# under build-release/, and both leave the committed baselines alone.
+# Run from anywhere:
 #
 #   tools/bench_report.sh              # full run (default min time)
 #   tools/bench_report.sh --smoke      # 1 quick pass per bench (CI)
@@ -12,22 +13,26 @@
 #
 # Each report carries per-run wall time, ops/sec, user counters, and
 # the build type, lockdep setting, nproc, commit and storage medium
-# that produced it — see bench/bench_main.h. The benches must already be built
-# (cmake --build build).
+# that produced it — see bench/bench_main.h. Full and --compare runs
+# build the benches themselves, in a Release, lockdep-off tree in
+# build-release/, so the baselines and the runs compared with them
+# come from one build; --smoke runs use the benches already built in
+# build/ (cmake --build build).
 #
 # --compare reads each committed BENCH_<name>.json out of git HEAD,
-# reruns the bench into build/, and compares per-run real_ms by
-# benchmark name. Runs more than 20% slower than baseline
+# reruns the bench into build-release/, and compares per-run real_ms
+# by benchmark name. With no bench names it compares every bench that
+# has a committed baseline. Runs more than 20% slower than baseline
 # are flagged and the script exits non-zero. A baseline whose
 # build_type differs from the fresh run's gets one warning line: its
 # ratios compare two builds, not two versions of the code. So does a
-# baseline whose storage medium differs. Benches without a committed
-# baseline are reported and skipped.
+# baseline whose storage medium differs. A baseline that records
+# neither gets a note instead, since the difference is unknown.
+# Benches without a committed baseline are reported and skipped.
 set -u
 
 cd "$(dirname "$0")/.."
 root="$(pwd)"
-bindir=build/bench
 
 min_time=""
 compare=0
@@ -39,15 +44,52 @@ for arg in "$@"; do
     *)         benches+=("$arg") ;;
   esac
 done
+# Each bench writes BENCH_<name>.json into its working directory.
+bindir=build/bench
+outdir="$root"
+if [ "$compare" -eq 1 ]; then
+  outdir="$root/build-release"
+elif [ -n "$min_time" ]; then
+  outdir="$root/build"
+fi
+if [ "$compare" -eq 1 ] || [ -z "$min_time" ]; then
+  bindir=build-release/bench
+  if [ "${#benches[@]}" -eq 0 ]; then
+    if [ "$compare" -eq 1 ]; then
+      for report in $(git ls-tree --name-only HEAD); do
+        case "$report" in
+          BENCH_*.json) name="${report#BENCH_}"
+                        benches+=("bench_${name%.json}") ;;
+        esac
+      done
+    else
+      for src in bench/bench_*.cc; do
+        name="$(basename "$src" .cc)"
+        [ "$name" = bench_main ] || benches+=("$name")
+      done
+    fi
+  fi
+  if [ "${#benches[@]}" -eq 0 ]; then
+    echo "no benches to build: no bench sources or committed baselines" >&2
+    exit 1
+  fi
+  # The build's own output (compiler notes included) goes to a log, so
+  # the report below stays readable.
+  mkdir -p build-release
+  if ! { cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release \
+           -DMETACOMM_LOCKDEP=OFF \
+         && cmake --build build-release -j "$(nproc 2>/dev/null || echo 4)" \
+              --target "${benches[@]}"; } >build-release/bench_build.log 2>&1
+  then
+    tail -20 build-release/bench_build.log >&2
+    echo "FAIL: Release bench build in build-release/" >&2
+    exit 1
+  fi
+fi
 if [ "${#benches[@]}" -eq 0 ]; then
   for bin in "$bindir"/bench_*; do
     [ -x "$bin" ] && benches+=("$(basename "$bin")")
   done
-fi
-# Each bench writes BENCH_<name>.json into its working directory.
-outdir="$root"
-if [ -n "$min_time" ] || [ "$compare" -eq 1 ]; then
-  outdir="$root/build"
 fi
 if [ "${#benches[@]}" -eq 0 ]; then
   echo "no bench binaries under $bindir — build first:" >&2
@@ -75,12 +117,18 @@ with open(sys.argv[2]) as f:
 
 base_build = base.get("build_type", "unrecorded")
 fresh_build = fresh.get("build_type", "unrecorded")
-if base_build != fresh_build:
+if "build_type" not in base:
+    print(f"  NOTE: baseline records no build type, this run "
+          f"{fresh_build}: the builds may differ")
+elif base_build != fresh_build:
     print(f"  WARNING: baseline built {base_build}, this run "
           f"{fresh_build}: the ratios below compare different builds")
 base_storage = base.get("storage", "unrecorded")
 fresh_storage = fresh.get("storage", "unrecorded")
-if base_storage != fresh_storage:
+if "storage" not in base:
+    print(f"  NOTE: baseline records no storage medium, this run "
+          f"{fresh_storage}: the media may differ")
+elif base_storage != fresh_storage:
     print(f"  WARNING: baseline ran on {base_storage}, this run on "
           f"{fresh_storage}: the ratios below compare different media")
 

@@ -26,9 +26,12 @@
 #      concurrent connections — monitor_test, which reads cn=monitor
 #      over TCP, lexpress_exec_test, whose shared-Mapping/
 #      per-thread-Vm section proves the lexpress fast path shares no
-#      mutable state, and coalescing_test and integration_test, whose
+#      mutable state, coalescing_test and integration_test, whose
 #      threaded waves write an LDAP write's directory image after the
-#      devices, on the worker, while the client waits).
+#      devices, on the worker, while the client waits, ltap_test,
+#      whose lock-wait, quiesce and rename cases run a writer thread
+#      against the gateway's one write path, and devices_test, the
+#      record store both device simulators share).
 #   3b. Fault-injection stress under TSan: fault_tolerance_test (the
 #       breaker/repair end-to-end suite, including the threaded
 #       Stop-vs-repair-worker shutdown race) and the randomized
@@ -58,8 +61,10 @@
 #       and smoke-runs every workload, traced and untraced, with its
 #       reply checks and end-state audit. A net or ldap change that
 #       breaks the benchmark fails here.
-#   7. Bench regression compare: quick reruns (written to build/)
-#      diffed against the committed BENCH_*.json baselines (>20%
+#   7. Bench regression compare: quick reruns from a Release,
+#      lockdep-off tree that bench_report.sh builds in build-release/
+#      (the build the baselines record; stage 2's build/ has lockdep
+#      on), diffed against the committed BENCH_*.json baselines (>20%
 #      slowdowns flagged).
 #      Non-fatal — smoke-length runs are too noisy to gate on.
 #   8. src/ line count: tools/src_lines.sh prints the .h/.cc lines
@@ -122,12 +127,12 @@ else
 fi
 
 # -- 3. TSan concurrency tests ---------------------------------------
-note "ThreadSanitizer: threaded_test + parallel_um_test + snapshot_stress_test + wire_test + monitor_test + lexpress_exec_test + coalescing_test + integration_test"
+note "ThreadSanitizer: threaded_test + parallel_um_test + snapshot_stress_test + wire_test + monitor_test + lexpress_exec_test + coalescing_test + integration_test + ltap_test + devices_test"
 if cmake -B build-tsan -S . -DMETACOMM_SANITIZE=thread >/dev/null \
    && cmake --build build-tsan -j "$jobs" \
         --target threaded_test parallel_um_test snapshot_stress_test \
                  wire_test monitor_test lexpress_exec_test \
-                 coalescing_test integration_test; then
+                 coalescing_test integration_test ltap_test devices_test; then
   ./build-tsan/tests/threaded_test    || fail "threaded_test under TSan"
   ./build-tsan/tests/parallel_um_test || fail "parallel_um_test under TSan"
   ./build-tsan/tests/snapshot_stress_test \
@@ -140,6 +145,8 @@ if cmake -B build-tsan -S . -DMETACOMM_SANITIZE=thread >/dev/null \
     || fail "coalescing_test under TSan"
   ./build-tsan/tests/integration_test \
     || fail "integration_test under TSan"
+  ./build-tsan/tests/ltap_test || fail "ltap_test under TSan"
+  ./build-tsan/tests/devices_test || fail "devices_test under TSan"
 else
   fail "TSan build"
 fi
@@ -257,10 +264,11 @@ python3 servebench/selftest.py || fail "servebench selftest"
 # -- 7. Bench regression compare (non-fatal) -------------------------
 note "bench compare vs committed baselines (non-fatal)"
 if tools/bench_report.sh --compare --smoke >/tmp/bench_compare.log 2>&1; then
-  grep -E '^(  |no regressions|SKIP)' /tmp/bench_compare.log || true
+  grep -E '^(== |  |no regressions|SKIP)' /tmp/bench_compare.log || true
   echo "bench compare: no regressions flagged"
 else
-  grep -E 'WARNING: baseline|REGRESSION|regressed|FAIL' /tmp/bench_compare.log || true
+  grep -E '^== |WARNING: baseline|NOTE: baseline|REGRESSION|regressed|FAIL' \
+    /tmp/bench_compare.log || true
   echo "WARN: bench compare flagged >20% slowdowns vs committed" \
        "baselines (informational; smoke runs are noisy, not failing" \
        "the gate)"
