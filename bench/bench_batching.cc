@@ -1,14 +1,13 @@
-// Batched, coalescing propagation — throughput vs max_batch_size.
+// Batched propagation — throughput vs max_batch_size.
 //
 // Every drain pays the emulated processing delay of the update
 // sequence (UpdateManagerConfig::artificial_processing_delay_micros,
 // the same 200µs axis bench_parallel_um uses) once per WAVE, and each
 // device's RTT (devices::LatencyEmulator) once per repository per wave
-// (DESIGN.md "Batching & coalescing"). max_batch_size=1 is the paper
-// shape: every update is a one-unit wave and pays both costs itself.
-// Larger batches drain a whole run of the queue per wakeup, coalesce
-// redundant same-entity work, and share both costs across the
-// entity-disjoint units of each wave.
+// (DESIGN.md "Batching"). max_batch_size=1 is the paper shape: every
+// update is a one-item wave and pays both costs itself. Larger batches
+// drain a whole run of the queue per wakeup and share both costs
+// across the entity-disjoint items of each wave.
 //
 // The workload is a two-device administrator storm: a PBX admin
 // changing rooms on one half of the population while an MP admin
@@ -135,7 +134,6 @@ void BM_AdminStormThroughput(benchmark::State& state) {
       stats.batches > 0 ? static_cast<double>(popped) /
                               static_cast<double>(stats.batches)
                         : 0.0;
-  state.counters["coalesced"] = static_cast<double>(stats.coalesced);
   state.counters["rtts_saved"] = static_cast<double>(stats.rtts_saved);
   state.counters["device_rtts"] = static_cast<double>(
       pbx->latency().round_trips() + mp->latency().round_trips());

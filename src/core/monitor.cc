@@ -74,7 +74,6 @@ std::vector<ldap::Entry> RenderMonitor(const ldap::Dn& base,
                 {"lockRetries", um_stats.lock_retries},
                 {"shutdownDrained", um_stats.shutdown_drained},
                 {"batches", um_stats.batches},
-                {"coalesced", um_stats.coalesced},
                 {"rttsSaved", um_stats.rtts_saved},
                 {"breakerOpenSkips", um_stats.breaker_open_skips},
                 {"replayed", um_stats.replayed},

@@ -7,7 +7,6 @@
 #include "common/blocking_wait.h"
 #include "common/clock.h"
 #include "common/logging.h"
-#include "core/coalescer.h"
 #include "core/device_filter.h"
 #include "core/integrated_schema.h"
 
@@ -134,14 +133,9 @@ void UpdateManager::Stop() {
   // threaded OnUpdate callers hanging in done.get().
   std::vector<WorkItem> abandoned = queue_.Drain();
   for (WorkItem& item : abandoned) {
-    ReleaseLocks(item.locked, item.lock_session);
-    if (item.done) {
-      item.done->set_value(
-          Status::Unavailable("update manager is shut down"));
-    }
+    SettleItem(item, Status::Unavailable("update manager is shut down"),
+               /*processed=*/false);
   }
-  counters_.shutdown_drained.fetch_add(abandoned.size(),
-                                       std::memory_order_relaxed);
 }
 
 void UpdateManager::WorkerLoop(size_t shard, uint64_t epoch) {
@@ -669,80 +663,49 @@ Status UpdateManager::BackfillGeneratedInfo(
   return Status::Ok();
 }
 
-void UpdateManager::SettleUnit(const CoalescedUnit& unit,
-                               std::vector<WorkItem>& items,
-                               const Status& status, bool processed) {
-  for (size_t index : unit.constituents) {
-    WorkItem& item = items[index];
-    ReleaseLocks(item.locked, item.lock_session);
-    item.status = status;
-    if (item.done) item.done->set_value(status);
-    if (processed) SettleIntent(item.intent_id);
-  }
-  if (!processed) {
-    counters_.shutdown_drained.fetch_add(unit.constituents.size(),
-                                         std::memory_order_relaxed);
+void UpdateManager::SettleItem(WorkItem& item, const Status& status,
+                               bool processed) {
+  ReleaseLocks(item.locked, item.lock_session);
+  item.status = status;
+  if (item.done) item.done->set_value(status);
+  if (processed) {
+    SettleIntent(item.intent_id);
+  } else {
+    counters_.shutdown_drained.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
 void UpdateManager::ProcessBatch(std::vector<WorkItem>& items, uint64_t epoch,
                                  lexpress::Vm* vm) {
-  // Every item is already in the integrated schema, so the coalescer
-  // compares like with like. The units take the descriptors over.
-  std::vector<lexpress::UpdateDescriptor> descriptors;
-  descriptors.reserve(items.size());
-  for (WorkItem& item : items) {
-    descriptors.push_back(std::move(item.descriptor));
-  }
-  CoalesceResult folded =
-      CoalesceBatch(std::move(descriptors), ldap_filter_->key_attr());
-  if (folded.coalesced_away > 0) {
-    counters_.coalesced.fetch_add(folded.coalesced_away,
-                                  std::memory_order_relaxed);
-  }
-  std::vector<CoalescedUnit>& units = folded.units;
-
-  // Wave partitioning: consecutive units touching DISJOINT entities
+  // Wave partitioning: consecutive items touching DISJOINT entities
   // propagate together; a repeated entity starts the next wave so
   // per-entity ordering is preserved exactly.
   const std::string& key_attr = ldap_filter_->key_attr();
   size_t next = 0;
-  while (next < units.size()) {
+  while (next < items.size()) {
     if (stop_epoch() != epoch) {
       // Stop() raced the batch: fail what we have not yet propagated,
       // exactly as Stop()'s drain fails items still in the queue.
-      for (; next < units.size(); ++next) {
-        SettleUnit(units[next], items,
+      for (; next < items.size(); ++next) {
+        SettleItem(items[next],
                    Status::Unavailable("update manager is shut down"),
                    /*processed=*/false);
       }
       return;
     }
     std::set<std::string, CaseInsensitiveLess> wave_keys;
-    std::vector<size_t> wave;
-    for (; next < units.size(); ++next) {
-      CoalescedUnit& unit = units[next];
-      if (unit.annihilated) {
-        // Add+...+Delete folded to nothing: the entity never existed
-        // as far as any repository is concerned. Settle as success.
-        SettleUnit(unit, items, Status::Ok(), /*processed=*/true);
-        continue;
+    const size_t begin = next;
+    for (; next < items.size(); ++next) {
+      const lexpress::UpdateDescriptor& update = items[next].descriptor;
+      std::string old_key = update.old_record.GetFirst(key_attr);
+      std::string new_key = update.new_record.GetFirst(key_attr);
+      if (wave_keys.count(old_key) > 0 || wave_keys.count(new_key) > 0) {
+        break;  // Same entity again: next wave.
       }
-      std::vector<std::string> unit_keys;
-      for (const std::string& key :
-           {unit.update.old_record.GetFirst(key_attr),
-            unit.update.new_record.GetFirst(key_attr)}) {
-        if (!key.empty()) unit_keys.push_back(key);
-      }
-      bool conflicts = false;
-      for (const std::string& key : unit_keys) {
-        if (wave_keys.count(key) > 0) conflicts = true;
-      }
-      if (conflicts) break;  // Same entity again: next wave.
-      for (const std::string& key : unit_keys) wave_keys.insert(key);
-      wave.push_back(next);
+      if (!old_key.empty()) wave_keys.insert(std::move(old_key));
+      if (!new_key.empty()) wave_keys.insert(std::move(new_key));
     }
-    if (!wave.empty()) PropagateWave(units, wave, items, vm);
+    PropagateWave(std::span(items).subspan(begin, next - begin), vm);
   }
 }
 
@@ -789,20 +752,17 @@ lexpress::UpdateDescriptor InverseOf(
 
 }  // namespace
 
-void UpdateManager::PropagateWave(std::vector<CoalescedUnit>& units,
-                                  const std::vector<size_t>& wave,
-                                  std::vector<WorkItem>& items,
+void UpdateManager::PropagateWave(std::span<WorkItem> wave,
                                   lexpress::Vm* vm) {
-  // One planned-and-alive propagation per unit in the wave.
+  // One planned-and-alive propagation per item in the wave.
   struct LiveUnit {
-    const CoalescedUnit* unit;
+    WorkItem* item;
     lexpress::UpdateDescriptor update;  // Integrated schema, hydrated.
     UpdatePlan plan;
     std::vector<DeviceResult> results;
     /// Saga undo: inverses of this unit's device applies, in order.
     std::vector<std::pair<RepositoryFilter*, lexpress::UpdateDescriptor>>
         undo;
-    bool ldap_current = false;  // Path A: directory written last.
     Status status = Status::Ok();
     /// The directory write failed, or saga undo compensated the unit:
     /// no further device fan-out and no §5.5 round.
@@ -810,22 +770,17 @@ void UpdateManager::PropagateWave(std::vector<CoalescedUnit>& units,
   };
   std::vector<LiveUnit> live;
   live.reserve(wave.size());
-  for (size_t index : wave) {
-    CoalescedUnit& unit = units[index];
-    // A unit has its first constituent's origin: the coalescer only
-    // folds later items of the same provenance into it.
-    const WorkItem& first = items[unit.constituents.front()];
+  for (WorkItem& item : wave) {
     LiveUnit lu;
-    lu.unit = &unit;
-    lu.ldap_current = first.ldap_current;
-    lu.update = first.hydrate ? HydrateDeviceUpdate(std::move(unit.update))
-                              : std::move(unit.update);
-    StatusOr<UpdatePlan> plan = PlanUpdate(lu.update, first.ldap_current, vm);
+    lu.item = &item;
+    lu.update = item.hydrate ? HydrateDeviceUpdate(std::move(item.descriptor))
+                             : std::move(item.descriptor);
+    StatusOr<UpdatePlan> plan = PlanUpdate(lu.update, item.ldap_current, vm);
     if (!plan.ok()) {
       // Closure fixpoint failure (runtime cycle detection, §4.2) or a
       // mapping evaluation error.
       HandleError(plan.status(), lu.update);
-      SettleUnit(unit, items, plan.status(), /*processed=*/true);
+      SettleItem(item, plan.status(), /*processed=*/true);
       continue;
     }
     counters_.closure_iterations.fetch_add(
@@ -843,7 +798,7 @@ void UpdateManager::PropagateWave(std::vector<CoalescedUnit>& units,
     if (!SleepInterruptible(config_.artificial_processing_delay_micros)) {
       Status stopped = Status::Unavailable("update manager is shut down");
       for (LiveUnit& lu : live) {
-        SettleUnit(*lu.unit, items, stopped, /*processed=*/false);
+        SettleItem(*lu.item, stopped, /*processed=*/false);
       }
       return;
     }
@@ -859,7 +814,7 @@ void UpdateManager::PropagateWave(std::vector<CoalescedUnit>& units,
   std::vector<lexpress::UpdateDescriptor> ldap_ops;
   std::vector<size_t> ldap_owner;
   for (size_t i = 0; i < live.size(); ++i) {
-    if (live[i].ldap_current) continue;
+    if (live[i].item->ldap_current) continue;
     for (PlannedOp& op : live[i].plan.ops) {
       if (!EqualsIgnoreCase(op.repository, "ldap")) continue;
       ldap_ops.push_back(std::move(op.update));
@@ -936,9 +891,9 @@ void UpdateManager::PropagateWave(std::vector<CoalescedUnit>& units,
     if (lu.update.op != lexpress::DescriptorOp::kDelete && lu.status.ok()) {
       if (lu.stopped) lu.results.clear();
       lu.status = BackfillGeneratedInfo(lu.update, lu.plan, lu.results,
-                                        lu.ldap_current);
+                                        lu.item->ldap_current);
     }
-    SettleUnit(*lu.unit, items, lu.status, /*processed=*/true);
+    SettleItem(*lu.item, lu.status, /*processed=*/true);
   }
 }
 
@@ -1463,7 +1418,6 @@ UpdateManager::Stats UpdateManager::stats() const {
   out.lock_retries = counters_.lock_retries.load(kRelaxed);
   out.shutdown_drained = counters_.shutdown_drained.load(kRelaxed);
   out.batches = counters_.batches.load(kRelaxed);
-  out.coalesced = counters_.coalesced.load(kRelaxed);
   out.rtts_saved = counters_.rtts_saved.load(kRelaxed);
   out.breaker_open_skips = counters_.breaker_open_skips.load(kRelaxed);
   out.replayed = counters_.replayed.load(kRelaxed);

@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,7 +17,6 @@
 #include "common/sharded_blocking_queue.h"
 #include "common/thread_annotations.h"
 #include "core/circuit_breaker.h"
-#include "core/coalescer.h"
 #include "core/error_log.h"
 #include "core/ldap_filter.h"
 #include "core/repository_filter.h"
@@ -69,13 +69,12 @@ struct UpdateManagerConfig {
   /// WAVE, not once per update.
   int64_t artificial_processing_delay_micros = 0;
   /// Most items a worker drains from its shard at once.
-  /// Every drain runs the same coalesce -> waves pipeline (DESIGN.md
-  /// "Batching & coalescing"), and each wave holds one conversation
-  /// per repository. 1 (the default) is the paper's
+  /// Every drain is split into entity-disjoint waves (DESIGN.md
+  /// "Batching"), and each wave holds one conversation per
+  /// repository. 1 (the default) is the paper's
   /// one-update-per-device-conversation shape: each update is a
-  /// one-unit wave. Larger values also fold redundant same-entity
-  /// updates and share each repository's conversation across the
-  /// units of a wave.
+  /// one-item wave. Larger values share each repository's
+  /// conversation across the items of a wave.
   int max_batch_size = 1;
   /// Per-repository circuit breaker (DESIGN.md "Fault tolerance").
   /// When a device's administrative link is down, every propagation
@@ -261,7 +260,8 @@ class UpdateManager : public ltap::TriggerActionServer {
     uint64_t shutdown_drained = 0;   // Items Stop() failed unprocessed
                                      // (queued or in a worker's hand).
     uint64_t batches = 0;            // Queue drains (incl. size 1).
-    uint64_t coalesced = 0;          // Items folded away by the coalescer.
+    uint64_t coalesced = 0;          // Always 0: no drain folds updates
+                                     // (servebench still reads it).
     uint64_t rtts_saved = 0;         // Conversations saved against one
                                      // per unit: a wave of n units shares
                                      // each device session and the
@@ -389,30 +389,27 @@ class UpdateManager : public ltap::TriggerActionServer {
   /// Synchronize upserts) as a one-item drain; returns its outcome.
   Status ProcessOne(WorkItem item, uint64_t epoch);
 
-  /// The propagation pipeline every drain runs: coalesces the items,
-  /// partitions the units into entity-disjoint waves, and propagates
-  /// each wave with one conversation per repository. Every item
-  /// settles, with its outcome in `status`. `epoch` is the stop epoch
-  /// the caller started in: once Stop() moves it on, the units not
-  /// yet propagated are abandoned (Unavailable, intents pending).
+  /// The propagation pipeline every drain runs: partitions the items
+  /// into entity-disjoint waves and propagates each wave with one
+  /// conversation per repository. Every item settles, with its outcome
+  /// in `status`. `epoch` is the stop epoch the caller started in:
+  /// once Stop() moves it on, the items not yet propagated are
+  /// abandoned (Unavailable, intents pending).
   void ProcessBatch(std::vector<WorkItem>& items, uint64_t epoch,
                     lexpress::Vm* vm);
 
-  /// Plans and executes one wave of entity-disjoint units (consuming
+  /// Plans and executes one wave of entity-disjoint items (consuming
   /// their descriptors): one shared processing delay, one LTAP session
   /// for all directory writes, one device session per repository.
-  /// Settles every constituent.
-  void PropagateWave(std::vector<CoalescedUnit>& units,
-                     const std::vector<size_t>& wave,
-                     std::vector<WorkItem>& items, lexpress::Vm* vm);
+  /// Settles every item.
+  void PropagateWave(std::span<WorkItem> wave, lexpress::Vm* vm);
 
-  /// Releases each constituent's locks, records `status` and completes
-  /// its promise. `processed` distinguishes a settled outcome
-  /// (success, or a failure the error log now owns — intents resolve)
-  /// from a shutdown abandonment (intents stay pending and replay on
+  /// Releases the item's locks, records `status` and completes its
+  /// promise. `processed` distinguishes a settled outcome (success, or
+  /// a failure the error log now owns — the intent resolves) from a
+  /// shutdown abandonment (the intent stays pending and replays on
   /// restart; counted as shutdown_drained).
-  void SettleUnit(const CoalescedUnit& unit, std::vector<WorkItem>& items,
-                  const Status& status, bool processed);
+  void SettleItem(WorkItem& item, const Status& status, bool processed);
 
   /// Queue telemetry for one drain: batch size, and each item's
   /// dequeue and queue wait on its shard.
@@ -568,7 +565,6 @@ class UpdateManager : public ltap::TriggerActionServer {
     std::atomic<uint64_t> lock_retries{0};
     std::atomic<uint64_t> shutdown_drained{0};
     std::atomic<uint64_t> batches{0};
-    std::atomic<uint64_t> coalesced{0};
     std::atomic<uint64_t> rtts_saved{0};
     std::atomic<uint64_t> breaker_open_skips{0};
     std::atomic<uint64_t> replayed{0};

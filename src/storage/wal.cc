@@ -171,7 +171,13 @@ StatusOr<std::unique_ptr<Wal>> Wal::Open(const std::string& dir,
 
 Status Wal::OpenSegmentForAppend(uint64_t segment) {
   if (fd_ >= 0) {
-    if (policy_ != FsyncPolicy::kOff) ::fsync(fd_);
+    // Roll() counts the outgoing segment durable on this fsync, so a
+    // failure disables the log as a failed Sync() does.
+    if (policy_ != FsyncPolicy::kOff && ::fsync(fd_) != 0) {
+      io_failed_ = true;
+      return Status::Unavailable(
+          ErrnoText("wal fsync", SegmentPath(segment_)));
+    }
     ::close(fd_);
     fd_ = -1;
   }

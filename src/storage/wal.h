@@ -69,7 +69,8 @@ class Wal {
   Status Sync(uint64_t lsn) EXCLUDES(mu_);
 
   /// Starts a new segment; subsequent appends land there. Returns the
-  /// new segment id.
+  /// new segment id. A failed fsync of the outgoing segment disables
+  /// the log, as a failed Sync() does.
   StatusOr<uint64_t> Roll() EXCLUDES(mu_);
 
   /// Deletes every segment with id < `segment`; returns how many.

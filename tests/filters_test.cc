@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "core/device_filter.h"
 #include "core/integrated_schema.h"
 #include "core/ldap_filter.h"
@@ -250,13 +254,18 @@ class LdapFilterTest : public ::testing::Test {
       : server_(BuildIntegratedSchema(),
                 ldap::ServerConfig{.allow_anonymous_writes = true}),
         filter_(&server_, LdapFilterConfig{}) {
-    auto add = [this](const char* dn_text, const char* cls,
-                      const char* attr, const char* value) {
+    AddContainers(server_);
+  }
+
+  /// o=Lucent and ou=People beneath it.
+  static void AddContainers(ldap::LdapServer& server) {
+    auto add = [&server](const char* dn_text, const char* cls,
+                         const char* attr, const char* value) {
       ldap::Entry entry(*ldap::Dn::Parse(dn_text));
       entry.AddObjectClass("top");
       entry.AddObjectClass(cls);
       entry.SetOne(attr, value);
-      EXPECT_TRUE(server_.backend().Add(entry).ok());
+      EXPECT_TRUE(server.backend().Add(entry).ok());
     };
     add("o=Lucent", "organization", "o", "Lucent");
     add("ou=People,o=Lucent", "organizationalUnit", "ou", "People");
@@ -421,6 +430,90 @@ TEST_F(LdapFilterTest, FindByAttrUsesIndex) {
   found = filter_.FindByAttr("DefinityExtension", "0000");
   ASSERT_TRUE(found.ok());
   EXPECT_FALSE(found->has_value());
+}
+
+Record Person(const std::string& cn, const std::string& extension,
+              const std::string& room = "") {
+  Record record("ldap");
+  record.SetOne("cn", cn);
+  record.SetOne("telephoneNumber", "+1 908 582 " + extension);
+  record.SetOne("DefinityExtension", extension);
+  if (!room.empty()) record.SetOne("roomNumber", room);
+  return record;
+}
+
+// LdapFilter::Apply reads only an update's op and images.
+UpdateDescriptor AddStep(const Record& image) {
+  return {.op = DescriptorOp::kAdd, .schema = "ldap", .new_record = image};
+}
+
+UpdateDescriptor ModifyStep(const Record& old_image, const Record& new_image) {
+  return {.op = DescriptorOp::kModify, .schema = "ldap",
+          .old_record = old_image, .new_record = new_image};
+}
+
+UpdateDescriptor DeleteStep(const Record& old_image) {
+  return {.op = DescriptorOp::kDelete, .schema = "ldap",
+          .old_record = old_image};
+}
+
+/// Each sequence applies one step at a time, as the Update Manager
+/// does, and must leave exactly its last images in the directory.
+TEST_F(LdapFilterTest, StepSequencesLeaveTheirFinalImages) {
+  struct Case {
+    const char* name;
+    std::vector<UpdateDescriptor> steps;
+    std::vector<Record> final_images;
+  };
+  const std::vector<Case> cases = {
+      {"rename A->B, modify, rename B->C",
+       {AddStep(Person("A Person", "4567")),
+        ModifyStep(Person("A Person", "4567"), Person("B Person", "4567")),
+        ModifyStep(Person("B Person", "4567"),
+                   Person("B Person", "4567", "2D-505")),
+        ModifyStep(Person("B Person", "4567", "2D-505"),
+                   Person("C Person", "4567", "2D-505"))},
+       {Person("C Person", "4567", "2D-505")}},
+      {"rename, then delete by the new key",
+       {AddStep(Person("John Doe", "4567")),
+        ModifyStep(Person("John Doe", "4567"), Person("John Q Doe", "4567")),
+        DeleteStep(Person("John Q Doe", "4567"))},
+       {}},
+      {"delete, then re-add with a new extension",
+       {AddStep(Person("John Doe", "4567")),
+        DeleteStep(Person("John Doe", "4567")),
+        AddStep(Person("John Doe", "4568"))},
+       {Person("John Doe", "4568")}},
+      {"add, modify, delete beside a bystander",
+       {AddStep(Person("Bystander", "4000")),
+        AddStep(Person("Ghost", "4999")),
+        ModifyStep(Person("Ghost", "4999"), Person("Ghost", "4999", "2D-404")),
+        DeleteStep(Person("Ghost", "4999", "2D-404"))},
+       {Person("Bystander", "4000")}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ldap::LdapServer server(BuildIntegratedSchema(),
+                            ldap::ServerConfig{.allow_anonymous_writes = true});
+    AddContainers(server);
+    LdapFilter filter(&server, LdapFilterConfig{});
+    for (const UpdateDescriptor& step : c.steps) {
+      ApplyResult applied = filter.Apply(step);
+      EXPECT_TRUE(applied.ok()) << step.ToString() << ": " << applied.status();
+    }
+    auto records = filter.DumpAll();
+    ASSERT_TRUE(records.ok()) << records.status();
+    std::vector<std::string> got;
+    for (Record& record : *records) {
+      record.Remove("sn");  // Synthesized from cn by ToEntry.
+      got.push_back(record.ToString());
+    }
+    std::vector<std::string> want;
+    for (const Record& image : c.final_images) want.push_back(image.ToString());
+    std::sort(got.begin(), got.end());
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(got, want);
+  }
 }
 
 TEST_F(LdapFilterTest, RecordEntryRoundTrip) {

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -318,6 +322,27 @@ TEST_F(WalTest, TornTailInFreshSegmentAfterRoll) {
   ASSERT_TRUE(wal.ok()) << wal.status();
   EXPECT_EQ(Replay(wal->get()),
             (std::vector<std::string>{"segment-one", "segment-two"}));
+}
+
+TEST_F(WalTest, FailedRollFsyncDisablesTheLog) {
+  config_.wal_fsync = FsyncPolicy::kBatch;
+  auto wal = Wal::Open(dir_, "wal", config_);
+  ASSERT_TRUE(wal.ok()) << wal.status();
+  // Segment 2 is a FIFO, held open by a reader so the WAL's write open
+  // succeeds; fsync on a FIFO fails (EINVAL).
+  const std::string fifo = dir_ + "/wal-00000002.wal";
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0644), 0);
+  const int reader = ::open(fifo.c_str(), O_RDONLY | O_NONBLOCK);
+  ASSERT_GE(reader, 0);
+  ASSERT_TRUE((*wal)->Roll().ok());
+  auto appended = (*wal)->Append("b");
+  ASSERT_TRUE(appended.ok());
+  // Rolling past the FIFO fsyncs it: the failure must not count "b"
+  // as durable.
+  EXPECT_FALSE((*wal)->Roll().ok());
+  EXPECT_FALSE((*wal)->Sync(appended->lsn).ok());
+  wal->reset();
+  ::close(reader);
 }
 
 }  // namespace

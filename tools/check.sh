@@ -26,7 +26,7 @@
 #      concurrent connections — monitor_test, which reads cn=monitor
 #      over TCP, lexpress_exec_test, whose shared-Mapping/
 #      per-thread-Vm section proves the lexpress fast path shares no
-#      mutable state, coalescing_test and integration_test, whose
+#      mutable state, batching_test and integration_test, whose
 #      threaded waves write an LDAP write's directory image after the
 #      devices, on the worker, while the client waits, ltap_test,
 #      whose lock-wait, quiesce and rename cases run a writer thread
@@ -127,12 +127,12 @@ else
 fi
 
 # -- 3. TSan concurrency tests ---------------------------------------
-note "ThreadSanitizer: threaded_test + parallel_um_test + snapshot_stress_test + wire_test + monitor_test + lexpress_exec_test + coalescing_test + integration_test + ltap_test + devices_test"
+note "ThreadSanitizer: threaded_test + parallel_um_test + snapshot_stress_test + wire_test + monitor_test + lexpress_exec_test + batching_test + integration_test + ltap_test + devices_test"
 if cmake -B build-tsan -S . -DMETACOMM_SANITIZE=thread >/dev/null \
    && cmake --build build-tsan -j "$jobs" \
         --target threaded_test parallel_um_test snapshot_stress_test \
                  wire_test monitor_test lexpress_exec_test \
-                 coalescing_test integration_test ltap_test devices_test; then
+                 batching_test integration_test ltap_test devices_test; then
   ./build-tsan/tests/threaded_test    || fail "threaded_test under TSan"
   ./build-tsan/tests/parallel_um_test || fail "parallel_um_test under TSan"
   ./build-tsan/tests/snapshot_stress_test \
@@ -141,8 +141,7 @@ if cmake -B build-tsan -S . -DMETACOMM_SANITIZE=thread >/dev/null \
   ./build-tsan/tests/monitor_test || fail "monitor_test under TSan"
   ./build-tsan/tests/lexpress_exec_test \
     || fail "lexpress_exec_test under TSan"
-  ./build-tsan/tests/coalescing_test \
-    || fail "coalescing_test under TSan"
+  ./build-tsan/tests/batching_test || fail "batching_test under TSan"
   ./build-tsan/tests/integration_test \
     || fail "integration_test under TSan"
   ./build-tsan/tests/ltap_test || fail "ltap_test under TSan"
