@@ -29,21 +29,35 @@ std::string JsonEscape(const std::string& in) {
   return out;
 }
 
-/// The source tree's commit, read the way servebench/run.py reads it
-/// (`git rev-parse --short=12 HEAD`); "unknown" outside git.
-std::string SourceCommit() {
+/// Output of `git <args>` run in the source tree; empty on failure.
+std::string Git(const std::string& args) {
   const std::string command = std::string("git -C '") + METACOMM_SOURCE_DIR +
-                              "' rev-parse --short=12 HEAD 2>/dev/null";
+                              "' " + args + " 2>/dev/null";
   std::string out;
   if (FILE* pipe = ::popen(command.c_str(), "r")) {
-    char buf[64];
+    char buf[256];
     while (std::fgets(buf, sizeof(buf), pipe) != nullptr) out += buf;
     if (::pclose(pipe) != 0) out.clear();
   }
   while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
     out.pop_back();
   }
-  return out.empty() ? "unknown" : out;
+  return out;
+}
+
+/// The source tree's commit, read the way servebench/run.py reads it
+/// (`git rev-parse --short=12 HEAD`), with "-dirty" appended when a
+/// tracked file other than a BENCH_*.json report differs from it;
+/// "unknown" outside git.
+std::string SourceCommit() {
+  std::string commit = Git("rev-parse --short=12 HEAD");
+  if (commit.empty()) return "unknown";
+  if (!Git("status --porcelain --untracked-files=no -- . "
+           "':(exclude)BENCH_*.json'")
+           .empty()) {
+    commit += "-dirty";
+  }
+  return commit;
 }
 
 /// The file-system type holding `path`, named as servebench names it.

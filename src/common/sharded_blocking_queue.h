@@ -4,10 +4,7 @@
 #include <algorithm>
 #include <atomic>
 #include <deque>
-#include <functional>
 #include <memory>
-#include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -16,16 +13,13 @@
 
 namespace metacomm {
 
-/// Sharded MPMC FIFO: the Update Manager's parallel update queue.
+/// Sharded MPMC FIFO: the Update Manager's queues.
 ///
-/// The paper's §4.4 global update queue is one FIFO that serializes
-/// *everything*. But the consistency argument only needs updates to
-/// the SAME entry to apply in submission order; updates to different
-/// entries commute. This queue keeps one strict FIFO per shard and
-/// routes items by a caller-supplied key (the normalized target DN),
-/// so one worker per shard yields per-key FIFO with cross-key
-/// parallelism — the update-exchange concurrency model of Youtopia
-/// (Kot & Koch) applied to the UM.
+/// Each shard is one strict FIFO that any number of threads may pop.
+/// The Update Manager keeps two of one shard each: the paper's §4.4
+/// global update queue, which every worker pops (per-entry order comes
+/// from the LTAP entry locks taken before an update is queued), and
+/// the conversations a wave offers its helpers.
 ///
 /// `PopBatch` does NOT drain after `Close`: close means abort, and the
 /// owner reclaims unprocessed items via `Drain()` to release their
@@ -42,20 +36,7 @@ class ShardedBlockingQueue {
 
   size_t shard_count() const { return shards_.size(); }
 
-  /// Shard a string key (e.g. a normalized DN) routes to. Equal keys
-  /// always land on the same shard — the per-entry FIFO guarantee.
-  size_t ShardFor(std::string_view key) const {
-    return std::hash<std::string_view>{}(key) % shards_.size();
-  }
-
-  /// Round-robin shard for keyless items (no target DN): they carry no
-  /// ordering constraint, so spreading them balances the workers.
-  size_t NextShard() {
-    return round_robin_.fetch_add(1, std::memory_order_relaxed) %
-           shards_.size();
-  }
-
-  /// Enqueues onto `shard` and wakes its worker. Returns false
+  /// Enqueues onto `shard` and wakes one of its workers. Returns false
   /// (dropping the item) when the queue is closed; the caller keeps
   /// ownership of any resources the item references.
   bool Push(size_t shard, T item) {
@@ -147,7 +128,6 @@ class ShardedBlockingQueue {
   // sharing of adjacent shard mutexes being the contention point.
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<bool> closed_{false};
-  std::atomic<uint64_t> round_robin_{0};
 };
 
 }  // namespace metacomm

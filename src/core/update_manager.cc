@@ -32,9 +32,7 @@ UpdateManager::UpdateManager(ltap::LtapGateway* gateway,
                              UpdateManagerConfig config)
     : gateway_(gateway),
       ldap_filter_(ldap_filter),
-      config_(config),
-      queue_(static_cast<size_t>(std::max(1, config.worker_threads))),
-      shard_counters_(queue_.shard_count()) {
+      config_(config) {
   um_session_ = gateway_->NewSession();
   // Error entries outlive the process: number on from the highest one
   // recovered (audit-only too), or the next cn=error-N collides with it.
@@ -97,12 +95,23 @@ void UpdateManager::Start() {
   queue_.Reopen();  // Stop() closed it; restarts take updates again.
   // "The main thread of the UM, the coordinator, iterates through the
   // global update queue" (§4.4). worker_threads=1 reproduces that
-  // single coordinator; more workers keep one strict FIFO per shard,
-  // which is all the §4.4 convergence argument needs — it reasons
-  // about the order of updates to one entry, never across entries.
-  workers_.reserve(queue_.shard_count());
-  for (size_t shard = 0; shard < queue_.shard_count(); ++shard) {
-    workers_.emplace_back([this, shard, epoch] { WorkerLoop(shard, epoch); });
+  // single coordinator; more workers pop the same queue. The entry
+  // locks an item holds from before it is queued keep any later update
+  // of that entry off the queue, which is all §4.4 convergence needs.
+  const size_t workers =
+      static_cast<size_t>(std::max(1, config_.worker_threads));
+  for (size_t i = 0; i < workers; ++i) {
+    workers_.emplace_back([this, epoch] { WorkerLoop(epoch); });
+  }
+  offers_.Reopen();
+  const size_t helpers = (std::max<size_t>(filters_.size(), 1) - 1) * workers;
+  for (size_t i = 0; i < helpers; ++i) {
+    helpers_.emplace_back([this] {
+      for (auto offer = offers_.PopBatch(0, 1); !offer.empty();
+           offer = offers_.PopBatch(0, 1)) {
+        offer.front()();
+      }
+    });
   }
   if (config_.repair_enabled) {
     repair_thread_ = std::thread([this] { RepairLoop(); });
@@ -128,6 +137,11 @@ void UpdateManager::Stop() {
   }
   workers_.clear();
   if (repair_thread_.joinable()) repair_thread_.join();
+  // A wave holds itself every conversation no helper claimed.
+  offers_.Close();
+  for (std::thread& helper : helpers_) helper.join();
+  helpers_.clear();
+  offers_.Drain();
   // The queue died with items still in it: release their entry locks
   // and fail their callers, instead of leaving locks held forever and
   // threaded OnUpdate callers hanging in done.get().
@@ -138,7 +152,7 @@ void UpdateManager::Stop() {
   }
 }
 
-void UpdateManager::WorkerLoop(size_t shard, uint64_t epoch) {
+void UpdateManager::WorkerLoop(uint64_t epoch) {
   const size_t max_batch =
       static_cast<size_t>(std::max(1, config_.max_batch_size));
   // The worker's lexpress interpreter: its stack, value pool and record
@@ -146,7 +160,7 @@ void UpdateManager::WorkerLoop(size_t shard, uint64_t epoch) {
   // closure/translation hot path runs allocation-free in steady state.
   lexpress::Vm vm;
   while (true) {
-    std::vector<WorkItem> batch = queue_.PopBatch(shard, max_batch);
+    std::vector<WorkItem> batch = queue_.PopBatch(0, max_batch);
     if (batch.empty()) return;  // Closed; Stop() reclaims the rest.
     RecordDrain(batch);
     ProcessBatch(batch, epoch, &vm);
@@ -164,26 +178,24 @@ void UpdateManager::RecordDrain(const std::vector<WorkItem>& batch) {
   counters_.batches.fetch_add(1, std::memory_order_relaxed);
   counters_.batch_size_buckets[bucket].fetch_add(1,
                                                  std::memory_order_relaxed);
+  queue_counters_.dequeued.fetch_add(size, std::memory_order_relaxed);
   for (const WorkItem& item : batch) {
-    ShardCounters& shard = shard_counters_[item.shard];
-    shard.dequeued.fetch_add(1, std::memory_order_relaxed);
     int64_t waited = now - item.enqueue_micros;
     if (waited > 0) {
-      shard.queue_wait_micros.fetch_add(static_cast<uint64_t>(waited),
-                                        std::memory_order_relaxed);
+      queue_counters_.queue_wait_micros.fetch_add(
+          static_cast<uint64_t>(waited), std::memory_order_relaxed);
     }
   }
 }
 
 bool UpdateManager::Enqueue(WorkItem item) {
   item.enqueue_micros = RealClock::Get()->NowMicros();
-  size_t shard = item.shard;
-  if (!queue_.Push(shard, std::move(item))) return false;
-  ShardCounters& counters = shard_counters_[shard];
-  counters.enqueued.fetch_add(1, std::memory_order_relaxed);
-  const uint64_t depth = queue_.Depth(shard);
-  uint64_t seen = counters.max_depth.load(std::memory_order_relaxed);
-  while (depth > seen && !counters.max_depth.compare_exchange_weak(
+  if (!queue_.Push(0, std::move(item))) return false;
+  queue_counters_.enqueued.fetch_add(1, std::memory_order_relaxed);
+  const uint64_t depth = queue_.Size();
+  std::atomic<uint64_t>& max_depth = queue_counters_.max_depth;
+  uint64_t seen = max_depth.load(std::memory_order_relaxed);
+  while (depth > seen && !max_depth.compare_exchange_weak(
                              seen, depth, std::memory_order_relaxed)) {
   }
   return true;
@@ -240,12 +252,6 @@ void UpdateManager::SubmitDeviceUpdateInternal(
     intent_id = *logged;
   }
   item.intent_id = intent_id;
-  // Same-entry FIFO: the shard is chosen from the first (normalized,
-  // sorted) locked DN, so every update touching that entry lands on the
-  // same worker. DN-less items carry no ordering constraint.
-  item.shard = item.locked.empty()
-                   ? queue_.NextShard()
-                   : queue_.ShardFor(item.locked.front().Normalized());
   std::vector<ldap::Dn> locked = item.locked;
   uint64_t lock_session = item.lock_session;
   if (!Enqueue(std::move(item))) {
@@ -294,10 +300,8 @@ Status UpdateManager::OnUpdate(
   if (!config_.threaded) return ProcessOne(std::move(item), stop_epoch());
   // Threaded: enqueue and wait — LTAP must not reply to the client
   // until the UM "completes the update sequence and notifies LTAP"
-  // (§4.4). Routed by the updated entry's DN: a later update to the
-  // same entry (the client holds its lock until we return, so it can
-  // only be later) queues behind this one on the same shard.
-  item.shard = queue_.ShardFor(notification.dn.Normalized());
+  // (§4.4). The client holds the entry's lock until we return, so no
+  // later update of this entry can be queued before this one settles.
   item.done = std::make_shared<std::promise<Status>>();
   std::future<Status> done = item.done->get_future();
   if (!Enqueue(std::move(item))) {
@@ -764,8 +768,9 @@ void UpdateManager::PropagateWave(std::span<WorkItem> wave,
     std::vector<std::pair<RepositoryFilter*, lexpress::UpdateDescriptor>>
         undo;
     Status status = Status::Ok();
-    /// The directory write failed, or saga undo compensated the unit:
-    /// no further device fan-out and no §5.5 round.
+    /// The directory write failed (no device fan-out), or the unit
+    /// failed at a repository under saga undo (compensated at the
+    /// others): no §5.5 round.
     bool stopped = false;
   };
   std::vector<LiveUnit> live;
@@ -832,12 +837,15 @@ void UpdateManager::PropagateWave(std::span<WorkItem> wave,
     }
   }
 
-  // Phase 2 — device fan-out in plan order, one conversation per
-  // repository for the whole wave. Device-side failures are logged and
+  // Phase 2 — device fan-out, one conversation per repository for the
+  // whole wave and every repository at once: they are autonomous, and
+  // no conversation reads another's result. Results settle in filter
+  // order once all have returned. Device-side failures are logged and
   // notified but do not fail the originating operation (§4.4).
+  std::vector<std::shared_ptr<Conversation>> conversations;
   for (RepositoryFilter* filter : filters_) {
-    std::vector<lexpress::UpdateDescriptor> updates;
-    std::vector<size_t> owners;
+    auto conversation = std::make_shared<Conversation>();
+    conversation->filter = filter;
     for (size_t i = 0; i < live.size(); ++i) {
       if (live[i].stopped) continue;
       for (PlannedOp& op : live[i].plan.ops) {
@@ -847,42 +855,44 @@ void UpdateManager::PropagateWave(std::span<WorkItem> wave,
           if (!config_.reapply_to_originator) continue;
           counters_.reapplications.fetch_add(1, std::memory_order_relaxed);
         }
-        updates.push_back(std::move(op.update));
-        owners.push_back(i);
+        conversation->updates.push_back(std::move(op.update));
+        conversation->owners.push_back(i);
       }
     }
-    if (updates.empty()) continue;
-    std::vector<std::optional<lexpress::Record>> priors;
-    if (config_.saga_undo) {
-      for (const lexpress::UpdateDescriptor& update : updates) {
-        priors.push_back(FetchPrior(filter, update));
-      }
+    if (!conversation->updates.empty()) {
+      conversations.push_back(std::move(conversation));
     }
-    std::vector<ApplyResult> applied = ApplyToRepository(filter, updates);
-    for (size_t i = 0; i < applied.size(); ++i) {
-      LiveUnit& owner = live[owners[i]];
-      if (!applied[i].ok()) {
-        HandleFailure(filter->name(), applied[i].outcome(),
-                      applied[i].status(), updates[i]);
-        if (config_.saga_undo) {
-          // Compensate this unit's applies at the earlier repositories
-          // and skip its later ones. The failure itself was logged and
-          // the administrator notified; the directory write stands
-          // (§4.4: errors are repaired out-of-band).
-          UndoApplied(owner.undo);
-          owner.stopped = true;
-        }
+  }
+  ConverseAll(conversations);
+  for (const std::shared_ptr<Conversation>& conversation : conversations) {
+    RepositoryFilter* filter = conversation->filter;
+    for (size_t i = 0; i < conversation->applied.size(); ++i) {
+      LiveUnit& owner = live[conversation->owners[i]];
+      lexpress::UpdateDescriptor& update = conversation->updates[i];
+      ApplyResult& applied = conversation->applied[i];
+      if (!applied.ok()) {
+        HandleFailure(filter->name(), applied.outcome(), applied.status(),
+                      update);
+        // Saga undo compensates the unit everywhere else, below.
+        if (config_.saga_undo) owner.stopped = true;
         continue;
       }
       counters_.device_applies.fetch_add(1, std::memory_order_relaxed);
       if (config_.saga_undo) {
-        owner.undo.emplace_back(filter, InverseOf(updates[i], priors[i]));
+        owner.undo.emplace_back(filter,
+                                InverseOf(update, conversation->priors[i]));
       }
-      if (updates[i].op != lexpress::DescriptorOp::kDelete) {
+      if (update.op != lexpress::DescriptorOp::kDelete) {
         owner.results.push_back(DeviceResult{
-            filter, std::move(updates[i].new_record), std::move(*applied[i])});
+            filter, std::move(update.new_record), std::move(*applied)});
       }
     }
+  }
+  // Compensate a failed unit's applies everywhere else; the failure was
+  // logged and notified and the directory write stands (§4.4: errors
+  // are repaired out-of-band). A unit stopped in phase 1 applied none.
+  for (LiveUnit& lu : live) {
+    if (lu.stopped) UndoApplied(lu.undo);
   }
 
   // Phase 3 — one directory write: Path A's closure image plus the §5.5
@@ -894,6 +904,36 @@ void UpdateManager::PropagateWave(std::span<WorkItem> wave,
                                         lu.item->ldap_current);
     }
     SettleItem(*lu.item, lu.status, /*processed=*/true);
+  }
+}
+
+void UpdateManager::Converse(Conversation& conversation) {
+  if (config_.saga_undo) {
+    for (const lexpress::UpdateDescriptor& update : conversation.updates) {
+      conversation.priors.push_back(FetchPrior(conversation.filter, update));
+    }
+  }
+  conversation.applied =
+      ApplyToRepository(conversation.filter, conversation.updates);
+  conversation.done.set_value();
+}
+
+void UpdateManager::ConverseAll(
+    const std::vector<std::shared_ptr<Conversation>>& conversations) {
+  // A threaded UM offers all but the first conversation to its helpers
+  // (a closed queue drops the offer). This thread then claims the first
+  // and every one no helper has claimed, so a wave is never slower than
+  // going in turn; no lock is held during a conversation.
+  for (size_t i = 1; config_.threaded && i < conversations.size(); ++i) {
+    offers_.Push(0, [this, conversation = conversations[i]] {
+      if (!conversation->claimed.exchange(true)) Converse(*conversation);
+    });
+  }
+  for (const std::shared_ptr<Conversation>& conversation : conversations) {
+    if (!conversation->claimed.exchange(true)) Converse(*conversation);
+  }
+  for (const std::shared_ptr<Conversation>& conversation : conversations) {
+    conversation->done.get_future().wait();
   }
 }
 
@@ -1426,16 +1466,12 @@ UpdateManager::Stats UpdateManager::stats() const {
   for (size_t i = 0; i < out.batch_size_buckets.size(); ++i) {
     out.batch_size_buckets[i] = counters_.batch_size_buckets[i].load(kRelaxed);
   }
-  out.shards.resize(shard_counters_.size());
-  for (size_t shard = 0; shard < out.shards.size(); ++shard) {
-    const ShardCounters& counters = shard_counters_[shard];
-    out.shards[shard].enqueued = counters.enqueued.load(kRelaxed);
-    out.shards[shard].dequeued = counters.dequeued.load(kRelaxed);
-    out.shards[shard].max_depth = counters.max_depth.load(kRelaxed);
-    out.shards[shard].queue_wait_micros =
-        counters.queue_wait_micros.load(kRelaxed);
-    out.shards[shard].depth = queue_.Depth(shard);
-  }
+  ShardStats& queue = out.shards.emplace_back();
+  queue.enqueued = queue_counters_.enqueued.load(kRelaxed);
+  queue.dequeued = queue_counters_.dequeued.load(kRelaxed);
+  queue.max_depth = queue_counters_.max_depth.load(kRelaxed);
+  queue.queue_wait_micros = queue_counters_.queue_wait_micros.load(kRelaxed);
+  queue.depth = queue_.Size();
   // An unreadable error log reads as no backlog.
   StatusOr<Backlog> backlog = PendingReplays();
   out.repositories.reserve(filters_.size());

@@ -33,11 +33,12 @@ struct UpdateManagerConfig {
   /// device notifications process inline on the notifying thread —
   /// which is what the deterministic tests and benches use.
   bool threaded = false;
-  /// Number of update workers (threaded mode). Each worker owns one
-  /// shard of the update queue; items route to shards by the hash of
-  /// their normalized target DN, so updates to the SAME entry stay
-  /// strictly FIFO while updates to different entries propagate in
-  /// parallel. 1 reproduces the paper's single global coordinator.
+  /// Number of update workers (threaded mode), all popping the one
+  /// update queue. LTAP entry locks, taken before an update is queued,
+  /// keep each entry's updates in order; with locking off (ablation A2)
+  /// only 1 worker does. 1 reproduces the paper's single coordinator.
+  /// Each worker adds (device filters - 1) threads that hold a wave's
+  /// other repository conversations while it holds the first.
   int worker_threads = 1;
   /// How many times a DDU retries a contended entry lock before the
   /// update is dropped and the §4.4 error entry is logged. Without
@@ -53,10 +54,10 @@ struct UpdateManagerConfig {
   /// convergence of §4.4/§5.4 is lost under racing updates.
   bool reapply_to_originator = true;
   /// The saga-style undo of §4.4's "later version", per unit of a
-  /// wave: when a unit's update fails at a device, that unit's applies
-  /// at the earlier devices of its plan are compensated newest first
-  /// from their pre-update images and its remaining devices are
-  /// skipped. Other units of the wave are untouched.
+  /// wave: when a unit's update fails at any repository, its applies
+  /// at every other one (a wave talks to all at once) are compensated
+  /// in reverse filter order from their pre-update images. Other units
+  /// of the wave are untouched.
   bool saga_undo = false;
   /// Where error-log entries are written ("cn=errors,o=Lucent");
   /// empty disables directory error logging.
@@ -68,7 +69,7 @@ struct UpdateManagerConfig {
   /// models the per-conversation device cost and is paid once per
   /// WAVE, not once per update.
   int64_t artificial_processing_delay_micros = 0;
-  /// Most items a worker drains from its shard at once.
+  /// Most items a worker drains from the queue at once.
   /// Every drain is split into entity-disjoint waves (DESIGN.md
   /// "Batching"), and each wave holds one conversation per
   /// repository. 1 (the default) is the paper's
@@ -130,9 +131,9 @@ struct UpdatePlan {
 ///    (OnUpdate) while LTAP holds the entry lock;
 ///  * receives direct device updates (DDUs) from device filters,
 ///    obtains LTAP entry locks itself (one lock session per update),
-///    and serializes everything through the update queue — sharded by
-///    target entry, so only same-entry updates serialize with each
-///    other (see DESIGN.md "Concurrency model");
+///    and queues everything on the one update queue; the entry locks
+///    keep a second update of an entry off it until the first settles
+///    (see DESIGN.md "Concurrency model");
 ///  * computes the lexpress transitive closure and writes derived
 ///    attribute changes back to the directory;
 ///  * propagates translated updates to every relevant device filter,
@@ -166,10 +167,10 @@ class UpdateManager : public ltap::TriggerActionServer {
   /// subtree. Call once after all filters are added.
   Status InstallTrigger(const std::string& base_dn);
 
-  /// Starts the worker pool (threaded mode only; one worker per queue
-  /// shard, `UpdateManagerConfig::worker_threads` of them).
+  /// Starts the worker pool and its conversation helpers (threaded
+  /// mode only).
   void Start();
-  /// Stops the workers, then fails every drained-but-unprocessed item:
+  /// Stops the workers and helpers, then fails every unprocessed item:
   /// its entry locks are released and its waiting caller (threaded
   /// Path A) gets Unavailable — items must not leak locks or hang
   /// callers when the queue dies.
@@ -236,9 +237,9 @@ class UpdateManager : public ltap::TriggerActionServer {
 
   const lexpress::MappingSet& mappings() const { return mappings_; }
 
-  /// Per-shard queue telemetry (threaded mode).
+  /// Update-queue telemetry (threaded mode).
   struct ShardStats {
-    uint64_t enqueued = 0;           // Items pushed onto this shard.
+    uint64_t enqueued = 0;           // Items pushed onto the queue.
     uint64_t dequeued = 0;           // Items a worker picked up.
     uint64_t max_depth = 0;          // High-water queue depth.
     uint64_t queue_wait_micros = 0;  // Total enqueue->dequeue latency.
@@ -272,7 +273,7 @@ class UpdateManager : public ltap::TriggerActionServer {
     uint64_t repair_syncs = 0;        // Repair fell back to Synchronize.
     /// Histogram of popped batch sizes: {1, 2, 3-4, 5-8, 9-16, >16}.
     std::vector<uint64_t> batch_size_buckets = std::vector<uint64_t>(6, 0);
-    std::vector<ShardStats> shards;  // One per update-queue shard.
+    std::vector<ShardStats> shards;  // One entry: the update queue.
     /// Per-repository fault-tolerance surface (breaker state, device
     /// health, replay backlog) — what cn=um-health publishes.
     struct RepositoryStats {
@@ -287,10 +288,10 @@ class UpdateManager : public ltap::TriggerActionServer {
   /// repository health and the error log's replay backlog.
   Stats stats() const;
 
-  /// Items currently queued across every update-queue shard. Cheap
-  /// enough for a per-request admission check — the wire server sheds
-  /// load with LDAP busy (51) when this crosses its admission limit,
-  /// instead of letting the queue grow without bound.
+  /// Items currently queued. Cheap enough for a per-request admission
+  /// check — the wire server sheds load with LDAP busy (51) when this
+  /// crosses its admission limit, instead of letting the queue grow
+  /// without bound.
   size_t QueueDepth() const { return queue_.Size(); }
 
   // ltap::TriggerActionServer:
@@ -311,10 +312,7 @@ class UpdateManager : public ltap::TriggerActionServer {
     /// concurrent DDUs on the same entry as one re-entrant owner, so
     /// both would "hold" the lock and race.
     uint64_t lock_session = 0;
-    /// Queue shard this item routes to (hash of the normalized target
-    /// DN; round-robin when there is no DN).
-    size_t shard = 0;
-    /// Enqueue timestamp for the per-shard latency counters.
+    /// Enqueue timestamp for the queue-wait counter.
     int64_t enqueue_micros = 0;
     /// Set by the origin. Path A: the directory already reflects the
     /// update (LTAP applied the client's operation). Path B: the
@@ -400,9 +398,28 @@ class UpdateManager : public ltap::TriggerActionServer {
 
   /// Plans and executes one wave of entity-disjoint items (consuming
   /// their descriptors): one shared processing delay, one LTAP session
-  /// for all directory writes, one device session per repository.
-  /// Settles every item.
+  /// for all directory writes, one device session per repository, all
+  /// repositories at once. Settles every item.
   void PropagateWave(std::span<WorkItem> wave, lexpress::Vm* vm);
+
+  /// One repository's share of a wave, held by whichever thread claims
+  /// it first: the wave's own or a helper.
+  struct Conversation {
+    RepositoryFilter* filter = nullptr;
+    std::vector<lexpress::UpdateDescriptor> updates;
+    std::vector<size_t> owners;  // The wave unit of each update.
+    std::vector<std::optional<lexpress::Record>> priors;  // saga_undo.
+    std::vector<ApplyResult> applied;
+    std::atomic<bool> claimed{false};
+    std::promise<void> done;
+  };
+
+  /// Fetches the saga pre-images, holds the conversation, marks it done.
+  void Converse(Conversation& conversation);
+
+  /// Holds every conversation at once; returns when all are done.
+  void ConverseAll(
+      const std::vector<std::shared_ptr<Conversation>>& conversations);
 
   /// Releases the item's locks, records `status` and completes its
   /// promise. `processed` distinguishes a settled outcome (success, or
@@ -412,7 +429,7 @@ class UpdateManager : public ltap::TriggerActionServer {
   void SettleItem(WorkItem& item, const Status& status, bool processed);
 
   /// Queue telemetry for one drain: batch size, and each item's
-  /// dequeue and queue wait on its shard.
+  /// dequeue and queue wait.
   void RecordDrain(const std::vector<WorkItem>& batch);
 
   /// Writes an audit-only error entry (no replay target) and notifies
@@ -497,15 +514,14 @@ class UpdateManager : public ltap::TriggerActionServer {
 
   RepositoryFilter* FindFilter(const std::string& name) const;
 
-  /// Stamps the enqueue time, pushes onto the item's shard, and
-  /// maintains the per-shard counters. False when the queue is closed
-  /// (the caller still owns the item's locks).
+  /// Stamps the enqueue time, pushes onto the queue, and maintains the
+  /// queue counters. False when the queue is closed (the caller still
+  /// owns the item's locks).
   bool Enqueue(WorkItem item);
 
-  /// One worker per shard: drains that shard in strict FIFO order, so
-  /// per-entry ordering holds while distinct entries run in parallel.
+  /// Worker body: drains the one queue in FIFO order until Stop().
   /// `epoch` is the stop epoch the worker pool was started in.
-  void WorkerLoop(size_t shard, uint64_t epoch);
+  void WorkerLoop(uint64_t epoch);
 
   ltap::LtapGateway* gateway_;
   LdapFilter* ldap_filter_;
@@ -525,17 +541,21 @@ class UpdateManager : public ltap::TriggerActionServer {
            CaseInsensitiveLess>
       breakers_;
 
-  ShardedBlockingQueue<WorkItem> queue_;
-  /// Relaxed atomics behind ShardStats, one per shard (sized once, in
-  /// the constructor). max_depth is a compare-exchange high-water mark.
-  struct ShardCounters {
+  ShardedBlockingQueue<WorkItem> queue_{1};
+  /// Relaxed atomics behind ShardStats. max_depth is a
+  /// compare-exchange high-water mark.
+  struct QueueCounters {
     std::atomic<uint64_t> enqueued{0};
     std::atomic<uint64_t> dequeued{0};
     std::atomic<uint64_t> max_depth{0};
     std::atomic<uint64_t> queue_wait_micros{0};
   };
-  std::vector<ShardCounters> shard_counters_;
+  QueueCounters queue_counters_;
   std::vector<std::thread> workers_;
+  /// Conversations a wave offers its helpers: (filters - 1) x
+  /// worker_threads threads (threaded mode), joined by Stop().
+  ShardedBlockingQueue<std::function<void()>> offers_{1};
+  std::vector<std::thread> helpers_;
   std::thread repair_thread_;
   std::atomic<bool> running_{false};
 

@@ -15,11 +15,16 @@ DurabilityManager::DurabilityManager(const DurabilityConfig& config)
 DurabilityManager::~DurabilityManager() {
   Stop();
   // Flush whatever commits are still queued so a clean shutdown keeps
-  // every change, acked or not (Wal's destructor then flushes its own
-  // buffer and fsyncs).
+  // every change, acked or not, then close the WAL: a failure of its
+  // final flush or fsync may lose the changes not yet synced.
   MutexLock lock(&mu_);
   Status drained = DrainChangeQueue(lock);
   (void)drained;
+  if (wal_ == nullptr) return;
+  Status closed = wal_->Close();
+  if (!closed.ok()) {
+    METACOMM_LOG(kWarning) << "wal close failed: " << closed.ToString();
+  }
 }
 
 StatusOr<std::unique_ptr<DurabilityManager>> DurabilityManager::Open(

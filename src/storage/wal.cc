@@ -85,16 +85,20 @@ Wal::Wal(std::string dir, std::string prefix,
       policy_(config.wal_fsync),
       max_record_bytes_(config.max_record_bytes) {}
 
-Wal::~Wal() {
+Wal::~Wal() { (void)Close(); }
+
+Status Wal::Close() {
   MutexLock lock(&mu_);
   while (flushing_) flush_done_.Wait(lock);
-  if (fd_ >= 0) {
-    Status flushed = FlushPending();
-    (void)flushed;
-    if (policy_ != FsyncPolicy::kOff) ::fsync(fd_);
-    ::close(fd_);
-    fd_ = -1;
+  if (fd_ < 0) return Status::Ok();
+  Status status = FlushPending();
+  if (status.ok() && policy_ != FsyncPolicy::kOff && ::fsync(fd_) != 0) {
+    io_failed_ = true;
+    status = Status::Unavailable(ErrnoText("wal fsync", SegmentPath(segment_)));
   }
+  ::close(fd_);
+  fd_ = -1;
+  return status;
 }
 
 std::string Wal::SegmentPath(uint64_t segment) const {
@@ -294,6 +298,15 @@ StatusOr<uint64_t> Wal::Roll() {
   METACOMM_RETURN_IF_ERROR(OpenSegmentForAppend(next));
   segment_ = next;
   segments_.push_back(next);
+  // Until the directory is synced, power loss can drop the new segment
+  // and every record acked from it.
+  if (policy_ != FsyncPolicy::kOff) {
+    Status synced = SyncDir(dir_);
+    if (!synced.ok()) {
+      io_failed_ = true;
+      return synced;
+    }
+  }
   // OpenSegmentForAppend fsynced the outgoing segment, so everything
   // appended so far is durable now.
   if (policy_ != FsyncPolicy::kOff) durable_lsn_ = appended_lsn_;

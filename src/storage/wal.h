@@ -69,9 +69,15 @@ class Wal {
   Status Sync(uint64_t lsn) EXCLUDES(mu_);
 
   /// Starts a new segment; subsequent appends land there. Returns the
-  /// new segment id. A failed fsync of the outgoing segment disables
-  /// the log, as a failed Sync() does.
+  /// new segment id. A failed fsync of the outgoing segment, or of the
+  /// directory that now names the new one, disables the log, as a
+  /// failed Sync() does.
   StatusOr<uint64_t> Roll() EXCLUDES(mu_);
+
+  /// Writes buffered records, fsyncs (unless kOff) and closes. A failure
+  /// disables the log: records not yet Sync()ed may be lost. Idempotent;
+  /// the destructor closes a log nobody closed and drops the outcome.
+  Status Close() EXCLUDES(mu_);
 
   /// Deletes every segment with id < `segment`; returns how many.
   StatusOr<uint64_t> DeleteSegmentsBefore(uint64_t segment) EXCLUDES(mu_);

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -35,20 +34,6 @@ TEST(ShardedBlockingQueueTest, PopBatchTakesAtMostMaxN) {
   // A max_n of 0 acts as 1: a worker never wakes to take nothing.
   EXPECT_EQ(queue.PopBatch(0, 0), std::vector<int>{3});
   EXPECT_EQ(queue.PopBatch(0, 16), std::vector<int>{4});
-}
-
-TEST(ShardedBlockingQueueTest, EqualKeysRouteToSameShard) {
-  ShardedBlockingQueue<int> queue(8);
-  EXPECT_EQ(queue.ShardFor("cn=john doe,ou=people,o=lucent"),
-            queue.ShardFor("cn=john doe,ou=people,o=lucent"));
-  EXPECT_LT(queue.ShardFor("anything"), queue.shard_count());
-}
-
-TEST(ShardedBlockingQueueTest, RoundRobinCoversAllShards) {
-  ShardedBlockingQueue<int> queue(3);
-  std::set<size_t> seen;
-  for (int i = 0; i < 6; ++i) seen.insert(queue.NextShard());
-  EXPECT_EQ(seen.size(), 3u);
 }
 
 TEST(ShardedBlockingQueueTest, CloseAbortsInsteadOfDraining) {

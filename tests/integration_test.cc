@@ -286,6 +286,44 @@ TEST_F(IntegrationTest, SagaUndoRevertsAppliedDeviceUpdates) {
   EXPECT_GE(system_->update_manager().stats().undos, 1u);
 }
 
+/// A wave talks to its repositories at once, so when the FIRST one
+/// (pbx1) fails, mp1 has already applied the unit's update: saga undo
+/// compensates it, and both devices end as they began.
+TEST_F(IntegrationTest, SagaUndoCompensatesTheOthersWhenTheFirstFails) {
+  SystemConfig config;
+  config.um.saga_undo = true;
+  Build(config);
+  ASSERT_TRUE(system_
+                  ->AddPerson("John Doe",
+                              {{"telephoneNumber", "+1 908 582 4567"}})
+                  .ok());
+  auto station = system_->pbx("pbx1")->GetRecord("4567");
+  auto mailbox = system_->mp("mp1")->GetRecord("4567");
+  ASSERT_TRUE(station.ok()) << station.status();
+  ASSERT_TRUE(mailbox.ok()) << mailbox.status();
+  const UpdateManager::Stats before = system_->update_manager().stats();
+
+  system_->pbx("pbx1")->faults().FailNext(1);
+  ldap::Client client = system_->NewClient();
+  ASSERT_TRUE(client
+                  .Replace("cn=John Doe,ou=People,o=Lucent",
+                           "telephoneNumber", "+1 908 582 4999")
+                  .ok());
+
+  const UpdateManager::Stats after = system_->update_manager().stats();
+  EXPECT_EQ(after.errors - before.errors, 1u);
+  EXPECT_EQ(after.device_applies - before.device_applies, 1u);
+  EXPECT_EQ(after.undos - before.undos, 1u);
+  auto station_after = system_->pbx("pbx1")->GetRecord("4567");
+  auto mailbox_after = system_->mp("mp1")->GetRecord("4567");
+  ASSERT_TRUE(station_after.ok()) << station_after.status();
+  ASSERT_TRUE(mailbox_after.ok()) << mailbox_after.status();
+  EXPECT_EQ(station_after->attrs(), station->attrs());
+  EXPECT_EQ(mailbox_after->attrs(), mailbox->attrs());
+  EXPECT_FALSE(system_->pbx("pbx1")->GetRecord("4999").ok());
+  EXPECT_FALSE(system_->mp("mp1")->GetRecord("4999").ok());
+}
+
 /// LTAP commits a client ADD before the Update Manager sees it, so the
 /// UM writes the directory once more, after the devices: the closure
 /// image and the messaging platform's minted SubscriberId (§5.5) ride

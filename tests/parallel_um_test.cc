@@ -2,7 +2,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -13,7 +15,7 @@
 namespace metacomm::core {
 namespace {
 
-/// The parallel Update Manager: N workers over a DN-sharded queue.
+/// The parallel Update Manager: N workers over the one update queue.
 /// Parameterized on worker_threads so every guarantee is checked both
 /// in the paper's single-coordinator shape (1) and in the parallel
 /// shape (4).
@@ -129,8 +131,8 @@ TEST_P(ParallelUmTest, SameEntryDduAndLdapStressConverges) {
   }));
 }
 
-/// Distinct entries from many threads: the sharded queue must fan the
-/// work out without losing or cross-ordering anything.
+/// Distinct entries from many threads: the workers of the one queue
+/// must fan the work out without losing or cross-ordering anything.
 TEST_P(ParallelUmTest, DistinctEntriesPropagateInParallel) {
   constexpr int kThreads = 4;
   constexpr int kPerThread = 16;
@@ -156,7 +158,7 @@ TEST_P(ParallelUmTest, DistinctEntriesPropagateInParallel) {
 
   UpdateManager::Stats stats = system_->update_manager().stats();
   EXPECT_EQ(stats.errors, 0u);
-  ASSERT_EQ(stats.shards.size(), static_cast<size_t>(GetParam()));
+  ASSERT_EQ(stats.shards.size(), 1u);
   uint64_t enqueued = 0;
   for (const UpdateManager::ShardStats& shard : stats.shards) {
     enqueued += shard.enqueued;
@@ -352,6 +354,123 @@ TEST_P(ParallelUmTest, DduAbandonedByStopKeepsItsIntentPending) {
       *ldap::Dn::Parse("cn=Intent Target,ou=People,o=Lucent")));
   system_.reset();
   wipe();
+}
+
+/// A wave talks to all its repositories at once: one unit's pbx1 and
+/// mp1 conversations are in flight together. Each device sends its
+/// change notification on the conversation's thread after it commits;
+/// here each notification waits for the other device's, so going in
+/// turn the first would wait out its deadline alone.
+TEST(ParallelUmWaveTest, OneUnitHoldsBothConversationsAtOnce) {
+  SystemConfig config;
+  config.um.threaded = true;
+  auto created = MetaCommSystem::Create(config);
+  ASSERT_TRUE(created.ok()) << created.status();
+  MetaCommSystem& system = **created;
+  std::atomic<bool> pbx_arrived{false};
+  std::atomic<bool> mp_arrived{false};
+  std::atomic<int> met{0};
+  auto wait_for = [&met](std::atomic<bool>* mine, std::atomic<bool>* other) {
+    return [&met, mine, other](const devices::DeviceNotification&) {
+      mine->store(true);
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!other->load() && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      if (other->load()) met.fetch_add(1);
+    };
+  };
+  system.pbx("pbx1")->SetNotificationHandler(
+      wait_for(&pbx_arrived, &mp_arrived));
+  system.mp("mp1")->SetNotificationHandler(
+      wait_for(&mp_arrived, &pbx_arrived));
+
+  ASSERT_TRUE(system
+                  .AddPerson("Both At Once",
+                             {{"telephoneNumber", "+1 908 582 4321"}})
+                  .ok());
+  EXPECT_EQ(met.load(), 2) << "one conversation ended before the other began";
+  EXPECT_EQ(system.pbx("pbx1")->StationCount(), 1u);
+  EXPECT_EQ(system.mp("mp1")->MailboxCount(), 1u);
+  EXPECT_EQ(system.update_manager().stats().errors, 0u);
+  system.update_manager().Stop();
+}
+
+/// Every worker takes from one queue, so an update waits only while
+/// every worker is busy. One update stalls in its pbx1 conversation (a
+/// failing command that takes seconds to answer); the second worker
+/// completes updates to other entries during the stall, including
+/// entries whose normalized DN hashes to the stalled entry's residue
+/// mod 2, which routing by DN hash over two workers queues behind it.
+TEST(ParallelUmQueueTest, OtherEntriesCompleteDuringAStalledConversation) {
+  SystemConfig config;
+  config.um.threaded = true;
+  config.um.worker_threads = 2;
+  auto created = MetaCommSystem::Create(config);
+  ASSERT_TRUE(created.ok()) << created.status();
+  MetaCommSystem& system = **created;
+  auto residue = [](const std::string& dn) {
+    return std::hash<std::string_view>{}(ldap::Dn::Parse(dn)->Normalized()) %
+           2;
+  };
+  const std::string stalled_dn = "cn=Stalled 4900,ou=People,o=Lucent";
+  ASSERT_TRUE(system
+                  .AddPerson("Stalled 4900",
+                             {{"telephoneNumber", "+1 908 582 4900"}})
+                  .ok());
+  // Three entries on the stalled entry's residue and one off it, by DN
+  // and extension.
+  std::vector<std::pair<std::string, std::string>> others;
+  int same = 0;
+  int other = 0;
+  for (int i = 1; i < 64 && (same < 3 || other < 1); ++i) {
+    const std::string extension = std::to_string(4900 + i);
+    const std::string dn = "cn=Free " + extension + ",ou=People,o=Lucent";
+    int& count = residue(dn) == residue(stalled_dn) ? same : other;
+    if (count >= (&count == &same ? 3 : 1)) continue;
+    ASSERT_TRUE(system
+                    .AddPerson("Free " + extension,
+                               {{"telephoneNumber", "+1 908 582 " + extension}})
+                    .ok());
+    ++count;
+    others.emplace_back(dn, extension);
+  }
+  ASSERT_EQ(same, 3);
+  ASSERT_EQ(other, 1);
+
+  devices::FaultInjector& faults = system.pbx("pbx1")->faults();
+  faults.set_fail_latency_micros(3'000'000);
+  faults.FailNext(1);
+  std::atomic<bool> stalled_returned{false};
+  std::thread stalled([&] {
+    ldap::Client client = system.NewClient();
+    // The device failure is logged, not returned to the client (§4.4).
+    EXPECT_TRUE(client.Replace(stalled_dn, "roomNumber", "STALLED").ok());
+    stalled_returned.store(true);
+  });
+  for (int i = 0; i < 5000 && faults.injected_failures() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(faults.injected_failures(), 1u);
+
+  ldap::Client client = system.NewClient();
+  for (size_t i = 0; i < others.size(); ++i) {
+    ASSERT_TRUE(client
+                    .Replace(others[i].first, "roomNumber",
+                             "FREE-" + std::to_string(i))
+                    .ok());
+  }
+  EXPECT_FALSE(stalled_returned.load())
+      << "an update to another entry waited out the stall";
+  for (size_t i = 0; i < others.size(); ++i) {
+    auto station = system.pbx("pbx1")->GetRecord(others[i].second);
+    ASSERT_TRUE(station.ok()) << station.status();
+    EXPECT_EQ(station->GetFirst("Room"), "FREE-" + std::to_string(i));
+  }
+  stalled.join();
+  EXPECT_EQ(system.update_manager().stats().errors, 1u);
+  system.update_manager().Stop();
 }
 
 INSTANTIATE_TEST_SUITE_P(WorkerCounts, ParallelUmTest,

@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.h"
+#include "storage/durability.h"
 #include "storage/fs.h"
 #include "storage/record_codec.h"
 #include "storage/wal.h"
@@ -343,6 +345,38 @@ TEST_F(WalTest, FailedRollFsyncDisablesTheLog) {
   EXPECT_FALSE((*wal)->Sync(appended->lsn).ok());
   wal->reset();
   ::close(reader);
+}
+
+/// Shutdown's last fsync can fail too, and the records it should have
+/// made durable may then be lost: the durability manager logs it.
+TEST_F(WalTest, FailedFinalFsyncIsLoggedAtShutdown) {
+  config_.wal_fsync = FsyncPolicy::kBatch;
+  auto manager = DurabilityManager::Open(config_);
+  ASSERT_TRUE(manager.ok()) << manager.status();
+  // Segment 2 is a FIFO, held open by a reader so the WAL's write open
+  // succeeds; fsync on a FIFO fails (EINVAL).
+  const std::string fifo = dir_ + "/wal-00000002.wal";
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0644), 0);
+  const int reader = ::open(fifo.c_str(), O_RDONLY | O_NONBLOCK);
+  ASSERT_GE(reader, 0);
+  ASSERT_TRUE((*manager)->wal()->Roll().ok());
+  ASSERT_TRUE((*manager)->wal()->Append("unsynced").ok());
+
+  Logger& logger = Logger::Get();
+  const LogLevel old_level = logger.min_level();
+  std::vector<std::string> warnings;
+  logger.set_sink([&warnings](LogLevel level, const std::string& message) {
+    if (level >= LogLevel::kWarning) warnings.push_back(message);
+  });
+  logger.set_min_level(LogLevel::kWarning);
+  manager->reset();
+  logger.set_sink(nullptr);
+  logger.set_min_level(old_level);
+  ::close(reader);
+
+  ASSERT_EQ(warnings.size(), 1u);
+  EXPECT_NE(warnings[0].find("wal close failed"), std::string::npos)
+      << warnings[0];
 }
 
 }  // namespace

@@ -20,13 +20,15 @@
 # build/ (cmake --build build).
 #
 # --compare reads each committed BENCH_<name>.json out of git HEAD,
-# reruns the bench into build-release/, and compares per-run real_ms
-# by benchmark name. With no bench names it compares every bench that
-# has a committed baseline. Runs more than 20% slower than baseline
-# are flagged and the script exits non-zero. A baseline whose
-# build_type differs from the fresh run's gets one warning line: its
-# ratios compare two builds, not two versions of the code. So does a
-# baseline whose storage medium differs. A baseline that records
+# reruns the bench into build-release/ three times per point
+# (--benchmark_repetitions=3), and compares each point's median real_ms
+# with the baseline's, by benchmark name: one run per point is inside
+# a shared host's run-to-run spread. With no bench names it compares
+# every bench that has a committed baseline. Points more than 20%
+# slower than baseline are flagged and the script exits non-zero. A
+# baseline whose build_type differs from the fresh run's gets one
+# warning line: its ratios compare two builds, not two versions of the
+# code. So does a baseline whose storage medium differs. A baseline that records
 # neither gets a note instead, since the difference is unknown.
 # Benches without a committed baseline are reported and skipped.
 set -u
@@ -35,12 +37,14 @@ cd "$(dirname "$0")/.."
 root="$(pwd)"
 
 min_time=""
+repetitions=""
 compare=0
 benches=()
 for arg in "$@"; do
   case "$arg" in
     --smoke)   min_time="--benchmark_min_time=0.01" ;;
-    --compare) compare=1 ;;
+    --compare) compare=1
+               repetitions="--benchmark_repetitions=3" ;;
     *)         benches+=("$arg") ;;
   esac
 done
@@ -104,10 +108,12 @@ if [ "$compare" -eq 1 ]; then
 fi
 
 # Compares one baseline report against one fresh report; prints flagged
-# runs and returns non-zero when any run regressed by more than 20%.
+# points and returns non-zero when any point's median regressed by more
+# than 20%.
 compare_reports() {
   python3 - "$1" "$2" <<'PY'
 import json
+import statistics
 import sys
 
 with open(sys.argv[1]) as f:
@@ -132,24 +138,33 @@ elif base_storage != fresh_storage:
     print(f"  WARNING: baseline ran on {base_storage}, this run on "
           f"{fresh_storage}: the ratios below compare different media")
 
-base_runs = {run["name"]: run["real_ms"] for run in base.get("runs", [])}
+def medians(report):
+    """Median real_ms and run count per benchmark name (repetitions
+    share a name), in first-seen order."""
+    times = {}
+    for run in report.get("runs", []):
+        times.setdefault(run["name"], []).append(run["real_ms"])
+    return {name: (statistics.median(ms), len(ms))
+            for name, ms in times.items()}
+
+base_runs = medians(base)
 flagged = []
-for run in fresh.get("runs", []):
-    name = run["name"]
+for name, (after, count) in medians(fresh).items():
     if name not in base_runs:
         continue
-    before, after = base_runs[name], run["real_ms"]
+    before = base_runs[name][0]
     # Sub-10us runs are timer noise at any ratio.
     if before <= 0.01:
         continue
     ratio = after / before
     marker = " <-- REGRESSION" if ratio > 1.2 else ""
-    print(f"  {name}: {before:.3f}ms -> {after:.3f}ms ({ratio:.2f}x){marker}")
+    print(f"  {name}: {before:.3f}ms -> {after:.3f}ms median of {count} "
+          f"({ratio:.2f}x){marker}")
     if ratio > 1.2:
         flagged.append(name)
 
 if flagged:
-    print(f"{len(flagged)} run(s) regressed >20% vs committed baseline")
+    print(f"{len(flagged)} point(s) regressed >20% vs committed baseline")
     sys.exit(1)
 print("no regressions >20%")
 PY
@@ -174,7 +189,7 @@ for name in "${benches[@]}"; do
   fi
   printf '\n== %s ==\n' "$name"
   # shellcheck disable=SC2086
-  if ! (cd "$outdir" && "$bin" --json $min_time); then
+  if ! (cd "$outdir" && "$bin" --json $min_time $repetitions); then
     echo "FAIL: $name"
     failures=$((failures + 1))
     continue

@@ -64,8 +64,9 @@
 #   7. Bench regression compare: quick reruns from a Release,
 #      lockdep-off tree that bench_report.sh builds in build-release/
 #      (the build the baselines record; stage 2's build/ has lockdep
-#      on), diffed against the committed BENCH_*.json baselines (>20%
-#      slowdowns flagged).
+#      on), three repetitions per point, each point's median diffed
+#      against the committed BENCH_*.json baselines (>20% slowdowns
+#      flagged).
 #      Non-fatal — smoke-length runs are too noisy to gate on.
 #   8. src/ line count: tools/src_lines.sh prints the .h/.cc lines
 #      under src/ at HEAD and in the working tree, and the net change
