@@ -66,7 +66,7 @@ enum class LockRank : int {
   // --- 5xx: Update Manager core.
   kUmShutdown = 500,   // Stop()/sleep interruption plumbing.
   kUmAdmin = 510,      // Admin-callback slot.
-  kUmQueueShard = 530, // ShardedBlockingQueue locks (updates, offers).
+  kBlockingQueue = 530, // BlockingQueue locks (updates, offers).
   kBreaker = 540,      // core::CircuitBreaker state.
 
   // --- 6xx: repository/device state, the innermost system data the

@@ -142,24 +142,10 @@ std::vector<ldap::Modification> LdapFilter::DiffMods(
   return mods;
 }
 
-ApplyResult LdapFilter::Apply(const lexpress::UpdateDescriptor& update) {
-  return ApplyWithContext(InternalContext(), update);
-}
-
-std::vector<ApplyResult> LdapFilter::ApplyBatch(
-    const std::vector<lexpress::UpdateDescriptor>& updates) {
-  // One internal context — one LTAP session — carries the whole batch.
+ApplyResult LdapFilter::Apply(const lexpress::UpdateDescriptor& update,
+                              bool covered_by_intent) {
   ldap::OpContext ctx = InternalContext();
-  std::vector<ApplyResult> results;
-  results.reserve(updates.size());
-  for (const lexpress::UpdateDescriptor& update : updates) {
-    results.push_back(ApplyWithContext(ctx, update));
-  }
-  return results;
-}
-
-ApplyResult LdapFilter::ApplyWithContext(
-    const ldap::OpContext& ctx, const lexpress::UpdateDescriptor& update) {
+  ctx.covered_by_intent = covered_by_intent;
   std::string old_key = update.old_record.GetFirst(config_.key_attr);
   std::string new_key = update.new_record.GetFirst(config_.key_attr);
 

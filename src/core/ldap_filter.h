@@ -64,15 +64,11 @@ class LdapFilter {
   /// between the two operations so tests can simulate the UM crash the
   /// paper analyzes. Conditional updates degrade gracefully
   /// (add->modify fallback etc.). Returns the resulting record (empty
-  /// for deletes).
-  ApplyResult Apply(const lexpress::UpdateDescriptor& update);
-
-  /// Applies a batch of canonical updates under ONE internal LTAP
-  /// session (a single gateway context instead of one per update —
-  /// the directory-side half of batched propagation). Results are
-  /// positional; a failing update does not stop the rest.
-  std::vector<ApplyResult> ApplyBatch(
-      const std::vector<lexpress::UpdateDescriptor>& updates);
+  /// for deletes). `covered_by_intent` marks an update a durable WAL
+  /// intent backs: its writes return once logged, without waiting for
+  /// the fsync (ldap::OpContext::covered_by_intent).
+  ApplyResult Apply(const lexpress::UpdateDescriptor& update,
+                    bool covered_by_intent = false);
 
   /// Installs a hook invoked between ModifyRDN and Modify of a pair.
   /// A non-OK return aborts before the second half (simulated crash).
@@ -93,11 +89,6 @@ class LdapFilter {
   std::vector<ldap::Modification> DiffMods(
       const ldap::Entry& current, const lexpress::Record& old_image,
       const lexpress::Record& target) const;
-
-  /// Apply against a caller-provided gateway context (shared by every
-  /// update of an ApplyBatch call).
-  ApplyResult ApplyWithContext(
-      const ldap::OpContext& ctx, const lexpress::UpdateDescriptor& update);
 
   ldap::OpContext InternalContext() const;
 

@@ -151,7 +151,8 @@ Status MetaCommSystem::Init() {
   METACOMM_RETURN_IF_ERROR(um_->InstallTrigger(config_.people_base));
   monitor_base_ = suffix.Child(ldap::Rdn("cn", "monitor"));
   server_->SetRenderedSubtree(monitor_base_, [this] {
-    return RenderMonitor(monitor_base_, *server_, *gateway_, *um_);
+    return RenderMonitor(monitor_base_, *server_, *gateway_, *um_,
+                         durability_.get());
   });
   if (config_.um.threaded) um_->Start();
   if (durability_ != nullptr) {

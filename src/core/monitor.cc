@@ -32,7 +32,8 @@ ldap::Entry MonitoredObject(ldap::Dn dn, const std::string& name) {
 std::vector<ldap::Entry> RenderMonitor(const ldap::Dn& base,
                                        const ldap::LdapServer& server,
                                        const ltap::LtapGateway& gateway,
-                                       const UpdateManager& update_manager) {
+                                       const UpdateManager& update_manager,
+                                       storage::DurabilityManager* durability) {
   // The read path is sampled before UpdateManager::stats(), whose
   // error-log search would otherwise count itself as read traffic.
   const ltap::LtapGateway::Stats gateway_stats = gateway.stats();
@@ -124,6 +125,20 @@ std::vector<ldap::Entry> RenderMonitor(const ldap::Dn& base,
 
   section("directory", Info({{"entries", backend.Size()},
                              {"changes", backend.ChangeCount()}}));
+
+  if (durability != nullptr) {
+    storage::Wal& wal = *durability->wal();
+    std::vector<std::string> info =
+        Info({{"walFsyncs", durability->wal_fsyncs()},
+              {"nextLsn", wal.next_lsn()},
+              {"walSegments", wal.segment_count()},
+              {"walBytes", wal.SizeBytes()},
+              {"pendingIntents", durability->pending_intent_count()},
+              {"checkpoints", durability->checkpoints()}});
+    info.push_back("lastCheckpointError=" +
+                   durability->last_checkpoint_error().ToString());
+    section("durability", std::move(info));
+  }
 
   // Read-path health: how searches are being answered (index plan vs
   // subtree scan), how selective the plans are, and how fresh the

@@ -6,6 +6,7 @@
 #include "core/update_manager.h"
 #include "ldap/server.h"
 #include "ltap/gateway.h"
+#include "storage/durability.h"
 
 namespace metacomm::core {
 
@@ -31,6 +32,8 @@ namespace metacomm::core {
 ///                                          failures, open skips,
 ///                                          replay backlog, injected
 ///                                          fault telemetry
+///   cn=durability,cn=monitor,<suffix>      WAL, intents, checkpoints
+///                                          (with a data dir only)
 ///
 /// Returns the container `base` followed by one entry per section,
 /// with the counters' current values as "key=value" monitorInfo
@@ -41,7 +44,8 @@ namespace metacomm::core {
 std::vector<ldap::Entry> RenderMonitor(const ldap::Dn& base,
                                        const ldap::LdapServer& server,
                                        const ltap::LtapGateway& gateway,
-                                       const UpdateManager& update_manager);
+                                       const UpdateManager& update_manager,
+                                       storage::DurabilityManager* durability);
 
 }  // namespace metacomm::core
 

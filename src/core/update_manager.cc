@@ -107,8 +107,8 @@ void UpdateManager::Start() {
   const size_t helpers = (std::max<size_t>(filters_.size(), 1) - 1) * workers;
   for (size_t i = 0; i < helpers; ++i) {
     helpers_.emplace_back([this] {
-      for (auto offer = offers_.PopBatch(0, 1); !offer.empty();
-           offer = offers_.PopBatch(0, 1)) {
+      for (auto offer = offers_.PopBatch(1); !offer.empty();
+           offer = offers_.PopBatch(1)) {
         offer.front()();
       }
     });
@@ -160,7 +160,7 @@ void UpdateManager::WorkerLoop(uint64_t epoch) {
   // closure/translation hot path runs allocation-free in steady state.
   lexpress::Vm vm;
   while (true) {
-    std::vector<WorkItem> batch = queue_.PopBatch(0, max_batch);
+    std::vector<WorkItem> batch = queue_.PopBatch(max_batch);
     if (batch.empty()) return;  // Closed; Stop() reclaims the rest.
     RecordDrain(batch);
     ProcessBatch(batch, epoch, &vm);
@@ -190,7 +190,7 @@ void UpdateManager::RecordDrain(const std::vector<WorkItem>& batch) {
 
 bool UpdateManager::Enqueue(WorkItem item) {
   item.enqueue_micros = RealClock::Get()->NowMicros();
-  if (!queue_.Push(0, std::move(item))) return false;
+  if (!queue_.Push(std::move(item))) return false;
   queue_counters_.enqueued.fetch_add(1, std::memory_order_relaxed);
   const uint64_t depth = queue_.Size();
   std::atomic<uint64_t>& max_depth = queue_counters_.max_depth;
@@ -813,27 +813,21 @@ void UpdateManager::PropagateWave(std::span<WorkItem> wave,
     }
   }
 
-  // Phase 1 — directory writes of DDUs and Synchronize upserts, under
-  // one LTAP session. A failed view write aborts THAT unit's sequence
-  // (§4.4), not the wave. The phases take their planned updates over.
-  std::vector<lexpress::UpdateDescriptor> ldap_ops;
-  std::vector<size_t> ldap_owner;
-  for (size_t i = 0; i < live.size(); ++i) {
-    if (live[i].item->ldap_current) continue;
-    for (PlannedOp& op : live[i].plan.ops) {
+  // Phase 1 — directory writes of DDUs and Synchronize upserts. A
+  // failed view write aborts THAT unit's sequence (§4.4), not the wave.
+  // A unit with a durable intent does not wait for its write's fsync:
+  // the write is in the log before the unit settles, and so before the
+  // intent's resolve record (DESIGN.md "Durability & recovery").
+  for (LiveUnit& lu : live) {
+    if (lu.item->ldap_current) continue;
+    for (const PlannedOp& op : lu.plan.ops) {
       if (!EqualsIgnoreCase(op.repository, "ldap")) continue;
-      ldap_ops.push_back(std::move(op.update));
-      ldap_owner.push_back(i);
-    }
-  }
-  if (!ldap_ops.empty()) {
-    std::vector<ApplyResult> applied = ldap_filter_->ApplyBatch(ldap_ops);
-    for (size_t i = 0; i < applied.size(); ++i) {
-      if (applied[i].ok()) continue;
-      LiveUnit& owner = live[ldap_owner[i]];
-      HandleError(applied[i].status(), ldap_ops[i]);
-      if (owner.status.ok()) owner.status = applied[i].status();
-      owner.stopped = true;
+      ApplyResult applied =
+          ldap_filter_->Apply(op.update, lu.item->intent_id != 0);
+      if (applied.ok()) continue;
+      HandleError(applied.status(), op.update);
+      if (lu.status.ok()) lu.status = applied.status();
+      lu.stopped = true;
     }
   }
 
@@ -925,7 +919,7 @@ void UpdateManager::ConverseAll(
   // and every one no helper has claimed, so a wave is never slower than
   // going in turn; no lock is held during a conversation.
   for (size_t i = 1; config_.threaded && i < conversations.size(); ++i) {
-    offers_.Push(0, [this, conversation = conversations[i]] {
+    offers_.Push([this, conversation = conversations[i]] {
       if (!conversation->claimed.exchange(true)) Converse(*conversation);
     });
   }

@@ -13,8 +13,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/blocking_queue.h"
 #include "common/mutex.h"
-#include "common/sharded_blocking_queue.h"
 #include "common/thread_annotations.h"
 #include "core/circuit_breaker.h"
 #include "core/error_log.h"
@@ -397,8 +397,8 @@ class UpdateManager : public ltap::TriggerActionServer {
                     lexpress::Vm* vm);
 
   /// Plans and executes one wave of entity-disjoint items (consuming
-  /// their descriptors): one shared processing delay, one LTAP session
-  /// for all directory writes, one device session per repository, all
+  /// their descriptors): one shared processing delay, the directory
+  /// writes in turn, one device session per repository, all
   /// repositories at once. Settles every item.
   void PropagateWave(std::span<WorkItem> wave, lexpress::Vm* vm);
 
@@ -541,7 +541,7 @@ class UpdateManager : public ltap::TriggerActionServer {
            CaseInsensitiveLess>
       breakers_;
 
-  ShardedBlockingQueue<WorkItem> queue_{1};
+  BlockingQueue<WorkItem> queue_;
   /// Relaxed atomics behind ShardStats. max_depth is a
   /// compare-exchange high-water mark.
   struct QueueCounters {
@@ -554,7 +554,7 @@ class UpdateManager : public ltap::TriggerActionServer {
   std::vector<std::thread> workers_;
   /// Conversations a wave offers its helpers: (filters - 1) x
   /// worker_threads threads (threaded mode), joined by Stop().
-  ShardedBlockingQueue<std::function<void()>> offers_{1};
+  BlockingQueue<std::function<void()>> offers_;
   std::vector<std::thread> helpers_;
   std::thread repair_thread_;
   std::atomic<bool> running_{false};

@@ -240,10 +240,10 @@ Backend::JournalTicket Backend::TakeJournalTicket() const {
   return ticket;
 }
 
-Status Backend::AwaitJournal(const JournalTicket& ticket) {
+Status Backend::AwaitJournal(const JournalTicket& ticket, Wait wait) {
   if (ticket.journal == nullptr) return Status::Ok();
-  ScopedBlockingWait wait;  // Group commit: another writer may flush.
-  return ticket.journal->sync(ticket.lsn);
+  ScopedBlockingWait blocking;  // Group commit: another writer may flush.
+  return ticket.journal->sync(ticket.lsn, wait);
 }
 
 void Backend::SetJournal(Journal journal) {
@@ -266,10 +266,10 @@ void Backend::SetSequence(uint64_t sequence) {
   snapshot_.store(std::make_shared<const Snapshot>(std::move(bumped)));
 }
 
-Status Backend::Add(const Entry& entry) {
+Status Backend::Add(const Entry& entry, Wait wait) {
   JournalTicket ticket;
   METACOMM_RETURN_IF_ERROR(AddImpl(entry, &ticket));
-  return AwaitJournal(ticket);
+  return AwaitJournal(ticket, wait);
 }
 
 Status Backend::AddImpl(const Entry& entry, JournalTicket* ticket) {
@@ -312,10 +312,10 @@ Status Backend::AddImpl(const Entry& entry, JournalTicket* ticket) {
   return Status::Ok();
 }
 
-Status Backend::Delete(const Dn& dn) {
+Status Backend::Delete(const Dn& dn, Wait wait) {
   JournalTicket ticket;
   METACOMM_RETURN_IF_ERROR(DeleteImpl(dn, &ticket));
-  return AwaitJournal(ticket);
+  return AwaitJournal(ticket, wait);
 }
 
 Status Backend::DeleteImpl(const Dn& dn, JournalTicket* ticket) {
@@ -420,10 +420,11 @@ Status Backend::ApplyMods(const Rdn& rdn,
   return Status::Ok();
 }
 
-Status Backend::Modify(const Dn& dn, const std::vector<Modification>& mods) {
+Status Backend::Modify(const Dn& dn, const std::vector<Modification>& mods,
+                       Wait wait) {
   JournalTicket ticket;
   METACOMM_RETURN_IF_ERROR(ModifyImpl(dn, mods, &ticket));
-  return AwaitJournal(ticket);
+  return AwaitJournal(ticket, wait);
 }
 
 Status Backend::ModifyImpl(const Dn& dn,
@@ -481,11 +482,11 @@ Status Backend::ModifyImpl(const Dn& dn,
 }
 
 Status Backend::ModifyRdn(const Dn& dn, const Rdn& new_rdn,
-                          bool delete_old_rdn) {
+                          bool delete_old_rdn, Wait wait) {
   JournalTicket ticket;
   METACOMM_RETURN_IF_ERROR(ModifyRdnImpl(dn, new_rdn, delete_old_rdn,
                                          &ticket));
-  return AwaitJournal(ticket);
+  return AwaitJournal(ticket, wait);
 }
 
 Status Backend::ModifyRdnImpl(const Dn& dn, const Rdn& new_rdn,

@@ -117,22 +117,30 @@ class Backend {
   Backend(const Backend&) = delete;
   Backend& operator=(const Backend&) = delete;
 
+  /// How far a mutation waits on the journal before it returns:
+  /// kSynced until its change is durable, kLogged only until the change
+  /// is in the log, for a caller holding a durable record that redoes
+  /// it (see OpContext::covered_by_intent).
+  enum class Wait { kSynced, kLogged };
+
   /// Adds a leaf entry. The parent must exist, except for depth-1
   /// entries which act as directory suffixes.
-  Status Add(const Entry& entry) EXCLUDES(write_mutex_);
+  Status Add(const Entry& entry, Wait wait = Wait::kSynced)
+      EXCLUDES(write_mutex_);
 
   /// Deletes a leaf entry.
-  Status Delete(const Dn& dn) EXCLUDES(write_mutex_);
+  Status Delete(const Dn& dn, Wait wait = Wait::kSynced)
+      EXCLUDES(write_mutex_);
 
   /// Applies a modification sequence to one entry atomically. Rejects
   /// changes that would remove an RDN attribute value
   /// (kNotAllowedOnRdn semantics).
-  Status Modify(const Dn& dn, const std::vector<Modification>& mods)
-      EXCLUDES(write_mutex_);
+  Status Modify(const Dn& dn, const std::vector<Modification>& mods,
+                Wait wait = Wait::kSynced) EXCLUDES(write_mutex_);
 
   /// Renames a leaf entry. Descendant DNs are rewritten.
-  Status ModifyRdn(const Dn& dn, const Rdn& new_rdn, bool delete_old_rdn)
-      EXCLUDES(write_mutex_);
+  Status ModifyRdn(const Dn& dn, const Rdn& new_rdn, bool delete_old_rdn,
+                   Wait wait = Wait::kSynced) EXCLUDES(write_mutex_);
 
   /// Returns a copy of the entry at `dn`. Lock-free.
   StatusOr<Entry> Get(const Dn& dn) const;
@@ -158,14 +166,15 @@ class Backend {
   /// (write-ahead order) — and returns an opaque durability token.
   /// It must stay cheap: the manager only queues the encoded change
   /// here and defers all I/O. `sync` runs on the mutating thread after
-  /// write_mutex_ is released and blocks until the token's change is
-  /// durable, so a mutation only returns success once its change is
+  /// write_mutex_ is released and puts the token's change in the log;
+  /// under Wait::kSynced it then blocks until the change is durable,
+  /// so a mutation only returns success once its change is
   /// recoverable; with group commit, concurrent mutations share the
   /// flush. Everything `append` locks must rank after
   /// kLdapBackendWrite.
   struct Journal {
     std::function<uint64_t(const ChangeRecord&)> append;
-    std::function<Status(uint64_t lsn)> sync;
+    std::function<Status(uint64_t lsn, Wait wait)> sync;
   };
 
   /// Attach before serving traffic. The journal must stay valid until
@@ -220,7 +229,7 @@ class Backend {
   JournalTicket TakeJournalTicket() const REQUIRES(write_mutex_);
 
   /// Durability wait for one committed mutation; runs unlocked.
-  static Status AwaitJournal(const JournalTicket& ticket);
+  static Status AwaitJournal(const JournalTicket& ticket, Wait wait);
 
   /// The locked bodies of the public mutations. Each validates,
   /// builds the next snapshot under write_mutex_, commits, and hands

@@ -25,6 +25,12 @@ struct OpContext {
   /// the LTAP entry lock; such writes bypass trigger processing and
   /// locking (they *are* the trigger processing).
   bool internal = false;
+  /// Set by the Update Manager on an internal write whose update a
+  /// durable WAL intent already covers (a direct device update). The
+  /// write returns once it is in the log, without waiting for the
+  /// fsync: a crash that loses it loses the intent's later resolve
+  /// record too, so the intent replays it. Ignored on client writes.
+  bool covered_by_intent = false;
 };
 
 /// LDAP Add: creates one leaf entry (paper §2: "create ... a single

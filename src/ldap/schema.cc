@@ -45,17 +45,33 @@ Status Schema::AddObjectClass(ObjectClassDef def) {
     return Status::SchemaViolation(
         "auxiliary class may not declare MUST attributes: " + def.name);
   }
+  ClassInfo info;
   for (const std::string& attr : def.must) {
-    if (FindAttribute(attr) == nullptr) {
+    const AttributeTypeDef* type = FindAttribute(attr);
+    if (type == nullptr) {
       return Status::NotFound("MUST references unknown attribute: " + attr);
     }
+    info.allowed.insert(type->name);
   }
   for (const std::string& attr : def.may) {
-    if (FindAttribute(attr) == nullptr) {
+    const AttributeTypeDef* type = FindAttribute(attr);
+    if (type == nullptr) {
       return Status::NotFound("MAY references unknown attribute: " + attr);
     }
+    info.allowed.insert(type->name);
   }
-  classes_.emplace(def.name, std::move(def));
+  info.must = def.must;
+  info.chain.insert(def.name);
+  if (!def.superior.empty()) {
+    const ClassInfo& superior = classes_.find(def.superior)->second;
+    info.must.insert(info.must.end(), superior.must.begin(),
+                     superior.must.end());
+    info.allowed.insert(superior.allowed.begin(), superior.allowed.end());
+    info.chain.insert(superior.chain.begin(), superior.chain.end());
+  }
+  std::string name = def.name;
+  info.def = std::move(def);
+  classes_.emplace(std::move(name), std::move(info));
   return Status::Ok();
 }
 
@@ -72,7 +88,7 @@ const AttributeTypeDef* Schema::FindAttribute(std::string_view name) const {
 
 const ObjectClassDef* Schema::FindObjectClass(std::string_view name) const {
   auto it = classes_.find(name);
-  return it == classes_.end() ? nullptr : &it->second;
+  return it == classes_.end() ? nullptr : &it->second.def;
 }
 
 std::vector<std::string> Schema::AttributeNames() const {
@@ -136,38 +152,6 @@ Status Schema::ValidateValue(const AttributeTypeDef& def,
   return Status::Internal("unknown syntax");
 }
 
-Status Schema::CollectConstraints(const Entry& entry,
-                                  std::vector<std::string>* must,
-                                  std::vector<std::string>* may) const {
-  std::vector<std::string> classes = entry.GetAll("objectClass");
-  if (classes.empty()) {
-    return Status::SchemaViolation("entry has no objectClass: " +
-                                   entry.dn().ToString());
-  }
-  for (const std::string& cls : classes) {
-    const ObjectClassDef* def = FindObjectClass(cls);
-    if (def == nullptr) {
-      return Status::SchemaViolation("unknown object class: " + cls);
-    }
-    // Walk the superior chain, accumulating constraints.
-    while (def != nullptr) {
-      must->insert(must->end(), def->must.begin(), def->must.end());
-      may->insert(may->end(), def->may.begin(), def->may.end());
-      def = def->superior.empty() ? nullptr
-                                  : FindObjectClass(def->superior);
-    }
-  }
-  return Status::Ok();
-}
-
-bool Schema::Allows(const std::vector<std::string>& allowed,
-                    std::string_view attribute) {
-  return std::any_of(allowed.begin(), allowed.end(),
-                     [attribute](const std::string& a) {
-                       return EqualsIgnoreCase(a, attribute);
-                     });
-}
-
 Status Schema::ValidateEntry(const Entry& entry) const {
   std::vector<std::string> classes = entry.GetAll("objectClass");
   if (classes.empty()) {
@@ -176,54 +160,41 @@ Status Schema::ValidateEntry(const Entry& entry) const {
   }
   // Exactly one structural chain: at least one structural class, and
   // all structural classes must lie on one superior chain.
-  std::vector<const ObjectClassDef*> structural;
+  std::vector<const ClassInfo*> infos;
+  std::vector<const ClassInfo*> structural;
   for (const std::string& cls : classes) {
-    const ObjectClassDef* def = FindObjectClass(cls);
-    if (def == nullptr) {
+    auto it = classes_.find(cls);
+    if (it == classes_.end()) {
       return Status::SchemaViolation("unknown object class: " + cls);
     }
-    if (def->kind == ObjectClassKind::kStructural) {
-      structural.push_back(def);
+    infos.push_back(&it->second);
+    if (it->second.def.kind == ObjectClassKind::kStructural) {
+      structural.push_back(&it->second);
     }
   }
   if (structural.empty()) {
     return Status::SchemaViolation("entry has no structural class: " +
                                    entry.dn().ToString());
   }
-  for (const ObjectClassDef* a : structural) {
-    for (const ObjectClassDef* b : structural) {
-      if (a == b) continue;
+  for (const ClassInfo* a : structural) {
+    for (const ClassInfo* b : structural) {
       // One must be an ancestor of the other.
-      bool related = false;
-      for (const ObjectClassDef* cur = a; cur != nullptr;
-           cur = cur->superior.empty() ? nullptr
-                                       : FindObjectClass(cur->superior)) {
-        if (EqualsIgnoreCase(cur->name, b->name)) {
-          related = true;
-          break;
-        }
-      }
-      for (const ObjectClassDef* cur = b; !related && cur != nullptr;
-           cur = cur->superior.empty() ? nullptr
-                                       : FindObjectClass(cur->superior)) {
-        if (EqualsIgnoreCase(cur->name, a->name)) related = true;
-      }
-      if (!related) {
+      if (a->chain.count(b->def.name) == 0 &&
+          b->chain.count(a->def.name) == 0) {
         return Status::SchemaViolation(
-            "entry mixes unrelated structural classes: " + a->name +
-            " and " + b->name);
+            "entry mixes unrelated structural classes: " + a->def.name +
+            " and " + b->def.name);
       }
     }
   }
 
-  std::vector<std::string> must, may;
-  METACOMM_RETURN_IF_ERROR(CollectConstraints(entry, &must, &may));
-
   // Every MUST attribute present.
-  for (const std::string& m : must) {
-    if (!entry.Has(m)) {
-      return Status::SchemaViolation("missing mandatory attribute '" + m +
-                                     "' in " + entry.dn().ToString());
+  for (const ClassInfo* info : infos) {
+    for (const std::string& m : info->must) {
+      if (!entry.Has(m)) {
+        return Status::SchemaViolation("missing mandatory attribute '" + m +
+                                       "' in " + entry.dn().ToString());
+      }
     }
   }
 
@@ -234,17 +205,13 @@ Status Schema::ValidateEntry(const Entry& entry) const {
     if (def == nullptr) {
       return Status::SchemaViolation("undefined attribute type: " + name);
     }
-    if (!Allows(must, def->name) && !Allows(may, def->name)) {
-      // Also check aliases: constraints may reference an alias.
-      bool allowed = false;
-      for (const std::string& alias : def->aliases) {
-        if (Allows(must, alias) || Allows(may, alias)) allowed = true;
-      }
-      if (!allowed) {
-        return Status::SchemaViolation(
-            "attribute '" + name + "' not allowed by object classes of " +
-            entry.dn().ToString());
-      }
+    if (std::none_of(infos.begin(), infos.end(),
+                     [def](const ClassInfo* info) {
+                       return info->allowed.count(def->name) > 0;
+                     })) {
+      return Status::SchemaViolation(
+          "attribute '" + name + "' not allowed by object classes of " +
+          entry.dn().ToString());
     }
     if (def->single_valued && attr.size() > 1) {
       return Status::SchemaViolation("attribute '" + name +

@@ -3,6 +3,7 @@
 
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -87,12 +88,6 @@ class Schema {
   Status ValidateValue(const AttributeTypeDef& def,
                        std::string_view value) const;
 
-  /// Collects MUST/MAY sets over the entry's classes and all their
-  /// superiors. Unknown classes yield an error.
-  Status CollectConstraints(const Entry& entry,
-                            std::vector<std::string>* must,
-                            std::vector<std::string>* may) const;
-
   /// All registered attribute names plus their aliases, in registry
   /// order. Feeds tooling that needs the attribute universe (e.g.
   /// lexpress_check --builtin-schemas for unknown-attribute analysis).
@@ -106,14 +101,23 @@ class Schema {
   static Schema Standard();
 
  private:
-  /// True if `may_or_must` (already collected) allows `attribute`.
-  static bool Allows(const std::vector<std::string>& allowed,
-                     std::string_view attribute);
+  /// A class with its constraints closed over its superior chain,
+  /// computed once by AddObjectClass.
+  struct ClassInfo {
+    ObjectClassDef def;
+    /// MUST attributes in check order: the class's own, then its
+    /// superiors', nearest first.
+    std::vector<std::string> must;
+    /// Canonical names of every MUST and MAY attribute of the chain.
+    std::set<std::string, CaseInsensitiveLess> allowed;
+    /// The class's own name and its superiors'.
+    std::set<std::string, CaseInsensitiveLess> chain;
+  };
 
   std::map<std::string, AttributeTypeDef, CaseInsensitiveLess> attributes_;
   /// Alias -> canonical attribute name.
   std::map<std::string, std::string, CaseInsensitiveLess> aliases_;
-  std::map<std::string, ObjectClassDef, CaseInsensitiveLess> classes_;
+  std::map<std::string, ClassInfo, CaseInsensitiveLess> classes_;
 };
 
 }  // namespace metacomm::ldap

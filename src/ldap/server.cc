@@ -4,6 +4,16 @@
 
 namespace metacomm::ldap {
 
+namespace {
+
+/// An internal write a durable intent covers returns once logged.
+Backend::Wait WaitFor(const OpContext& ctx) {
+  return ctx.internal && ctx.covered_by_intent ? Backend::Wait::kLogged
+                                               : Backend::Wait::kSynced;
+}
+
+}  // namespace
+
 LdapServer::LdapServer(Schema schema, ServerConfig config)
     : schema_(std::move(schema)),
       config_(config),
@@ -76,26 +86,26 @@ Status LdapServer::CheckWriteAccess(const OpContext& ctx,
 
 Status LdapServer::Add(const OpContext& ctx, const AddRequest& request) {
   METACOMM_RETURN_IF_ERROR(CheckWriteAccess(ctx, request.entry.dn()));
-  return backend_.Add(request.entry);
+  return backend_.Add(request.entry, WaitFor(ctx));
 }
 
 Status LdapServer::Delete(const OpContext& ctx,
                           const DeleteRequest& request) {
   METACOMM_RETURN_IF_ERROR(CheckWriteAccess(ctx, request.dn));
-  return backend_.Delete(request.dn);
+  return backend_.Delete(request.dn, WaitFor(ctx));
 }
 
 Status LdapServer::Modify(const OpContext& ctx,
                           const ModifyRequest& request) {
   METACOMM_RETURN_IF_ERROR(CheckWriteAccess(ctx, request.dn));
-  return backend_.Modify(request.dn, request.mods);
+  return backend_.Modify(request.dn, request.mods, WaitFor(ctx));
 }
 
 Status LdapServer::ModifyRdn(const OpContext& ctx,
                              const ModifyRdnRequest& request) {
   METACOMM_RETURN_IF_ERROR(CheckWriteAccess(ctx, request.dn));
   return backend_.ModifyRdn(request.dn, request.new_rdn,
-                            request.delete_old_rdn);
+                            request.delete_old_rdn, WaitFor(ctx));
 }
 
 StatusOr<SearchResult> LdapServer::Search(const OpContext& ctx,

@@ -201,7 +201,8 @@ Status DurabilityManager::DrainChangeQueue(MutexLock& lock) {
   return failed;
 }
 
-Status DurabilityManager::JournalSync(uint64_t sequence) {
+Status DurabilityManager::JournalSync(uint64_t sequence,
+                                      ldap::Backend::Wait wait) {
   uint64_t lsn = 0;
   {
     MutexLock lock(&mu_);
@@ -215,6 +216,10 @@ Status DurabilityManager::JournalSync(uint64_t sequence) {
     }
     lsn = last_change_lsn_;
   }
+  // A change a durable intent redoes is now in the log ahead of the
+  // intent's resolve record: a crash that cuts the log before it also
+  // cuts the resolve, and the intent replays. No fsync to wait for.
+  if (wait == ldap::Backend::Wait::kLogged) return Status::Ok();
   // Outside mu_ so new commits keep queueing while the batch fsyncs.
   return wal_->Sync(lsn);
 }
@@ -224,7 +229,9 @@ void DurabilityManager::AttachBackend(ldap::Backend* backend) {
   journal.append = [this](const ldap::ChangeRecord& record) {
     return JournalAppend(record);
   };
-  journal.sync = [this](uint64_t sequence) { return JournalSync(sequence); };
+  journal.sync = [this](uint64_t sequence, ldap::Backend::Wait wait) {
+    return JournalSync(sequence, wait);
+  };
   backend->SetJournal(std::move(journal));
 }
 
@@ -257,6 +264,11 @@ Status DurabilityManager::ResolveIntent(uint64_t id) {
   StatusOr<Wal::AppendResult> appended = wal_->Append(EncodeResolve(id));
   if (!appended.ok()) return appended.status();
   return Status::Ok();
+}
+
+size_t DurabilityManager::pending_intent_count() const {
+  MutexLock lock(&mu_);
+  return pending_intents_.size();
 }
 
 std::vector<WalIntent> DurabilityManager::PendingIntents() const {
@@ -333,6 +345,7 @@ StatusOr<DurabilityManager::CheckpointStats> DurabilityManager::Checkpoint(
 
   // 5. Thin out old snapshot files.
   METACOMM_RETURN_IF_ERROR(snapshots_->Prune(config_.snapshots_to_keep));
+  checkpoints_.fetch_add(1, std::memory_order_relaxed);
   return stats;
 }
 

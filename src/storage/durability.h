@@ -1,6 +1,7 @@
 #ifndef METACOMM_STORAGE_DURABILITY_H_
 #define METACOMM_STORAGE_DURABILITY_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -54,7 +55,7 @@ namespace metacomm::storage {
 class DurabilityManager {
  public:
   /// What recovery found and did; the serve tool prints it in its
-  /// startup banner (cn=monitor has no storage section yet).
+  /// startup banner.
   struct RecoveryStats {
     uint64_t snapshot_version = 0;  // 0: started from nothing/LDIF.
     size_t snapshot_entries = 0;
@@ -124,6 +125,12 @@ class DurabilityManager {
   /// Most recent background checkpoint failure (Ok when none).
   Status last_checkpoint_error() const EXCLUDES(mu_);
 
+  /// Counters for cn=durability,cn=monitor and the tests: successful
+  /// WAL fsyncs, completed checkpoints and unresolved intents.
+  uint64_t wal_fsyncs() const { return wal_->fsyncs(); }
+  uint64_t checkpoints() const { return checkpoints_.load(); }
+  size_t pending_intent_count() const EXCLUDES(mu_);
+
   Wal* wal() { return wal_.get(); }
   SnapshotStore* snapshots() { return snapshots_.get(); }
   const DurabilityConfig& config() const { return config_; }
@@ -133,10 +140,11 @@ class DurabilityManager {
 
   /// Journal callbacks installed on the backend. Append encodes the
   /// change and queues it, returning its commit sequence as the
-  /// durability token; Sync drains the queue into the WAL (leader) and
-  /// waits for the covering fsync.
+  /// durability token; Sync drains the queue into the WAL (leader) and,
+  /// under Wait::kSynced, waits for the covering fsync.
   uint64_t JournalAppend(const ldap::ChangeRecord& record) EXCLUDES(mu_);
-  Status JournalSync(uint64_t sequence) EXCLUDES(mu_);
+  Status JournalSync(uint64_t sequence, ldap::Backend::Wait wait)
+      EXCLUDES(mu_);
   /// Hands every queued change to the WAL, in commit order. Steals the
   /// queue under mu_ but performs the WAL appends with mu_ RELEASED
   /// (the `draining_` flag keeps batches ordered), so committers keep
@@ -183,6 +191,7 @@ class DurabilityManager {
       GUARDED_BY(mu_);
   uint64_t next_intent_id_ GUARDED_BY(mu_) = 0;
   Status last_checkpoint_error_ GUARDED_BY(mu_) = Status::Ok();
+  std::atomic<uint64_t> checkpoints_{0};
 
   /// Checkpoint-thread plumbing. stop_ is flipped under mu_ and the
   /// loop waits on cv_ with the configured interval as deadline.

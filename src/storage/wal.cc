@@ -92,7 +92,7 @@ Status Wal::Close() {
   while (flushing_) flush_done_.Wait(lock);
   if (fd_ < 0) return Status::Ok();
   Status status = FlushPending();
-  if (status.ok() && policy_ != FsyncPolicy::kOff && ::fsync(fd_) != 0) {
+  if (status.ok() && policy_ != FsyncPolicy::kOff && !Fsync(fd_)) {
     io_failed_ = true;
     status = Status::Unavailable(ErrnoText("wal fsync", SegmentPath(segment_)));
   }
@@ -169,15 +169,28 @@ StatusOr<std::unique_ptr<Wal>> Wal::Open(const std::string& dir,
   } else {
     wal->segment_ = segments.back();
     METACOMM_RETURN_IF_ERROR(wal->OpenSegmentForAppend(wal->segment_));
+    // Make the torn-tail cut durable before records land past it, or
+    // power loss could resurrect the torn bytes in front of them.
+    if (wal->open_stats_.truncated_bytes > 0 &&
+        wal->policy_ != FsyncPolicy::kOff && !wal->Fsync(wal->fd_)) {
+      return Status::Unavailable(
+          ErrnoText("wal fsync", wal->SegmentPath(wal->segment_)));
+    }
   }
   return wal;
+}
+
+bool Wal::Fsync(int fd) {
+  if (::fsync(fd) != 0) return false;
+  fsyncs_.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
 Status Wal::OpenSegmentForAppend(uint64_t segment) {
   if (fd_ >= 0) {
     // Roll() counts the outgoing segment durable on this fsync, so a
     // failure disables the log as a failed Sync() does.
-    if (policy_ != FsyncPolicy::kOff && ::fsync(fd_) != 0) {
+    if (policy_ != FsyncPolicy::kOff && !Fsync(fd_)) {
       io_failed_ = true;
       return Status::Unavailable(
           ErrnoText("wal fsync", SegmentPath(segment_)));
@@ -233,7 +246,7 @@ StatusOr<Wal::AppendResult> Wal::Append(std::string_view payload) {
   result.lsn = ++appended_lsn_;
   result.segment = segment_;
   if (policy_ == FsyncPolicy::kAlways) {
-    if (::fsync(fd_) != 0) {
+    if (!Fsync(fd_)) {
       io_failed_ = true;
       return Status::Unavailable(
           ErrnoText("wal fsync", SegmentPath(segment_)));
@@ -269,12 +282,12 @@ Status Wal::Sync(uint64_t lsn) {
       flushing_ = true;
       fd = fd_;
     }
-    const int rc = ::fsync(fd);
+    const bool synced = Fsync(fd);
     {
       MutexLock lock(&mu_);
       flushing_ = false;
       flush_done_.NotifyAll();
-      if (rc != 0) {
+      if (!synced) {
         io_failed_ = true;
         return Status::Unavailable(
             ErrnoText("wal fsync", SegmentPath(segment_)));
@@ -369,6 +382,11 @@ uint64_t Wal::next_lsn() {
 uint64_t Wal::current_segment() {
   MutexLock lock(&mu_);
   return segment_;
+}
+
+uint64_t Wal::segment_count() {
+  MutexLock lock(&mu_);
+  return segments_.size();
 }
 
 uint64_t Wal::SizeBytes() {

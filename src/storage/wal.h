@@ -1,6 +1,7 @@
 #ifndef METACOMM_STORAGE_WAL_H_
 #define METACOMM_STORAGE_WAL_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -90,6 +91,9 @@ class Wal {
   OpenStats open_stats() const { return open_stats_; }
   uint64_t next_lsn() EXCLUDES(mu_);
   uint64_t current_segment() EXCLUDES(mu_);
+  uint64_t segment_count() EXCLUDES(mu_);  // Live segments.
+  /// Successful fsyncs of segment files since Open.
+  uint64_t fsyncs() const { return fsyncs_.load(std::memory_order_relaxed); }
 
   /// Total bytes across live segments (telemetry / bench).
   uint64_t SizeBytes() EXCLUDES(mu_);
@@ -98,6 +102,8 @@ class Wal {
   Wal(std::string dir, std::string prefix, const DurabilityConfig& config);
 
   std::string SegmentPath(uint64_t segment) const;
+  /// ::fsync, counted in fsyncs_ when it succeeds.
+  bool Fsync(int fd);
   Status OpenSegmentForAppend(uint64_t segment) REQUIRES(mu_);
   /// write()s `bytes` to the current segment fd in full.
   Status WriteBytes(std::string_view bytes) REQUIRES(mu_);
@@ -135,6 +141,7 @@ class Wal {
   /// wait on flush_done_; Roll/close wait too before touching fd_.
   bool flushing_ GUARDED_BY(mu_) = false;
   CondVar flush_done_;
+  std::atomic<uint64_t> fsyncs_{0};
 };
 
 }  // namespace metacomm::storage

@@ -4,83 +4,81 @@
 #include <thread>
 #include <vector>
 
+#include "common/blocking_queue.h"
 #include "common/clock.h"
 #include "common/logging.h"
-#include "common/sharded_blocking_queue.h"
 
 namespace metacomm {
 namespace {
 
-TEST(ShardedBlockingQueueTest, PerShardFifoOrder) {
-  ShardedBlockingQueue<int> queue(4);
-  queue.Push(1, 10);
-  queue.Push(1, 11);
-  queue.Push(3, 30);
+TEST(BlockingQueueTest, FifoOrder) {
+  BlockingQueue<int> queue;
+  queue.Push(10);
+  queue.Push(11);
+  queue.Push(12);
   EXPECT_EQ(queue.Size(), 3u);
-  EXPECT_EQ(queue.Depth(1), 2u);
-  EXPECT_EQ(queue.PopBatch(1, 1), std::vector<int>{10});
-  EXPECT_EQ(queue.PopBatch(1, 1), std::vector<int>{11});
-  EXPECT_EQ(queue.PopBatch(3, 1), std::vector<int>{30});
+  EXPECT_EQ(queue.PopBatch(1), std::vector<int>{10});
+  EXPECT_EQ(queue.PopBatch(1), std::vector<int>{11});
+  queue.Push(13);
+  EXPECT_EQ(queue.PopBatch(16), (std::vector<int>{12, 13}));
   EXPECT_EQ(queue.Size(), 0u);
 }
 
-TEST(ShardedBlockingQueueTest, PopBatchTakesAtMostMaxN) {
-  ShardedBlockingQueue<int> queue(2);
-  queue.Push(0, 1);
-  queue.Push(0, 2);
-  queue.Push(0, 3);
-  EXPECT_EQ(queue.PopBatch(0, 2), (std::vector<int>{1, 2}));
-  queue.Push(0, 4);
+TEST(BlockingQueueTest, PopBatchTakesAtMostMaxN) {
+  BlockingQueue<int> queue;
+  queue.Push(1);
+  queue.Push(2);
+  queue.Push(3);
+  EXPECT_EQ(queue.PopBatch(2), (std::vector<int>{1, 2}));
+  queue.Push(4);
   // A max_n of 0 acts as 1: a worker never wakes to take nothing.
-  EXPECT_EQ(queue.PopBatch(0, 0), std::vector<int>{3});
-  EXPECT_EQ(queue.PopBatch(0, 16), std::vector<int>{4});
+  EXPECT_EQ(queue.PopBatch(0), std::vector<int>{3});
+  EXPECT_EQ(queue.PopBatch(16), std::vector<int>{4});
 }
 
-TEST(ShardedBlockingQueueTest, CloseAbortsInsteadOfDraining) {
+TEST(BlockingQueueTest, CloseAbortsInsteadOfDraining) {
   // Close means abort: PopBatch must NOT hand out the remaining items
   // — the owner reclaims them via Drain() to release their locks and
   // fail their promises.
-  ShardedBlockingQueue<int> queue(2);
-  queue.Push(0, 1);
-  queue.Push(1, 2);
+  BlockingQueue<int> queue;
+  queue.Push(1);
+  queue.Push(2);
   queue.Close();
-  EXPECT_FALSE(queue.Push(0, 3));
-  EXPECT_TRUE(queue.PopBatch(0, 1).empty());
-  EXPECT_TRUE(queue.PopBatch(1, 16).empty());
-  std::vector<int> drained = queue.Drain();
-  ASSERT_EQ(drained.size(), 2u);
-  EXPECT_EQ(drained[0], 1);
-  EXPECT_EQ(drained[1], 2);
+  EXPECT_FALSE(queue.Push(3));
+  EXPECT_TRUE(queue.PopBatch(1).empty());
+  EXPECT_TRUE(queue.PopBatch(16).empty());
+  EXPECT_EQ(queue.Drain(), (std::vector<int>{1, 2}));
   EXPECT_EQ(queue.Size(), 0u);
+  // Reopen admits pushes and pops again.
+  queue.Reopen();
+  EXPECT_TRUE(queue.Push(4));
+  EXPECT_EQ(queue.PopBatch(16), std::vector<int>{4});
 }
 
-TEST(ShardedBlockingQueueTest, CloseWakesAllBlockedWorkers) {
-  ShardedBlockingQueue<int> queue(4);
+TEST(BlockingQueueTest, CloseWakesAllBlockedWorkers) {
+  BlockingQueue<int> queue;
   std::vector<std::thread> workers;
-  for (size_t shard = 0; shard < queue.shard_count(); ++shard) {
-    workers.emplace_back([&queue, shard] {
-      EXPECT_TRUE(queue.PopBatch(shard, 1).empty());
-    });
+  for (int i = 0; i < 4; ++i) {
+    workers.emplace_back([&queue] { EXPECT_TRUE(queue.PopBatch(1).empty()); });
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   queue.Close();
   for (std::thread& worker : workers) worker.join();
 }
 
-TEST(ShardedBlockingQueueTest, PopBlocksUntilPushOnOwnShard) {
-  ShardedBlockingQueue<int> queue(2);
+TEST(BlockingQueueTest, PopBlocksUntilPush) {
+  BlockingQueue<int> queue;
   std::atomic<bool> got{false};
   std::thread consumer([&queue, &got] {
-    EXPECT_EQ(queue.PopBatch(0, 16), std::vector<int>{42});
+    EXPECT_EQ(queue.PopBatch(16), std::vector<int>{42});
     got.store(true);
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  queue.Push(1, 7);  // Other shard: must not wake shard 0's consumer.
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
   EXPECT_FALSE(got.load());
-  queue.Push(0, 42);
+  queue.Push(42);
   consumer.join();
-  EXPECT_EQ(queue.PopBatch(1, 16), std::vector<int>{7});
+  EXPECT_TRUE(got.load());
+  EXPECT_EQ(queue.Size(), 0u);
 }
 
 TEST(ClockTest, RealClockIsMonotonic) {

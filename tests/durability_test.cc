@@ -1,8 +1,8 @@
 // The durability subsystem end to end, in process: checkpoint-vs-replay
 // equivalence (a recovered directory is byte-identical to the pre-kill
 // export), the intent log's lifecycle across crashes and checkpoints,
-// lost-history detection, and full MetaCommSystem restarts on a data
-// dir.
+// lost-history detection, full MetaCommSystem restarts on a data dir,
+// and the one-fsync direct device update of a threaded deployment.
 
 #include "storage/durability.h"
 
@@ -19,6 +19,7 @@
 #include "core/metacomm.h"
 #include "storage/fs.h"
 #include "storage/ldif_file.h"
+#include "storage/wal_records.h"
 
 namespace metacomm::storage {
 namespace {
@@ -511,6 +512,169 @@ TEST_F(DurabilityTest, SystemRestartServesRecoveredEntries) {
   ldap::Client client = (*system)->NewClient();
   EXPECT_TRUE(client.Get("cn=John Doe,ou=People,o=Lucent").ok());
   EXPECT_TRUE(client.Get("cn=Jane Roe,ou=People,o=Lucent").ok());
+}
+
+/// Polls `pred` for up to ~5 s.
+template <typename Pred>
+bool Eventually(Pred pred) {
+  for (int i = 0; i < 5000; ++i) {
+    if (pred()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return pred();
+}
+
+/// A threaded deployment under kBatch group commit, without the
+/// checkpoint thread, with John Doe at PBX extension 4567. A DDU's
+/// intent is fsynced before the terminal returns; its directory write
+/// is logged behind the intent and fsynced by whatever syncs next.
+class DduDurabilityTest : public DurabilityTest {
+ protected:
+  static constexpr const char* kPerson = "cn=John Doe,ou=People,o=Lucent";
+
+  void SetUp() override {
+    DurabilityTest::SetUp();
+    config_.wal_fsync = FsyncPolicy::kBatch;
+  }
+
+  void TearDown() override {
+    std::filesystem::remove_all(CopyDir());
+    DurabilityTest::TearDown();
+  }
+
+  /// Where a test copies the data dir to stand in for a crash.
+  std::string CopyDir() const { return config_.data_dir + "-copy"; }
+
+  std::unique_ptr<core::MetaCommSystem> Start(const std::string& data_dir,
+                                              bool provision) {
+    core::SystemConfig system_config;
+    system_config.um.threaded = true;
+    system_config.durability = config_;
+    system_config.durability.data_dir = data_dir;
+    auto system = core::MetaCommSystem::Create(system_config);
+    EXPECT_TRUE(system.ok()) << system.status();
+    if (!system.ok()) return nullptr;
+    if (provision) {
+      EXPECT_TRUE((*system)
+                      ->AddPerson("John Doe",
+                                  {{"telephoneNumber", "+1 908 582 4567"}})
+                      .ok());
+    }
+    return std::move(*system);
+  }
+
+  /// A technician moves John Doe to `room` at the PBX terminal; waits
+  /// until the update manager has settled the DDU and resolved its
+  /// intent.
+  static void ChangeRoom(core::MetaCommSystem& system,
+                         const std::string& room) {
+    ASSERT_TRUE(system.pbx("pbx1")
+                    ->ExecuteCommand("change station 4567 Room " + room)
+                    .ok());
+    ASSERT_TRUE(Eventually(
+        [&] { return system.durability()->pending_intent_count() == 0; }));
+  }
+
+  static std::string RoomOf(core::MetaCommSystem& system) {
+    auto entry = system.NewClient().Get(kPerson);
+    return entry.ok() ? entry->GetFirst("roomNumber") : "";
+  }
+
+  /// Every record of the closed WAL in `dir`, in log order.
+  std::vector<WalRecord> ReadLog(const std::string& dir) {
+    std::vector<WalRecord> log;
+    auto wal = Wal::Open(dir, "wal", config_);
+    EXPECT_TRUE(wal.ok()) << wal.status();
+    if (!wal.ok()) return log;
+    Status replayed = (*wal)->ReplayAll([&](std::string_view payload) {
+      METACOMM_ASSIGN_OR_RETURN(WalRecord record, DecodeWalRecord(payload));
+      log.push_back(std::move(record));
+      return Status::Ok();
+    });
+    EXPECT_TRUE(replayed.ok()) << replayed;
+    return log;
+  }
+
+  /// True for the change record that writes `room` into John Doe.
+  static bool MovesToRoom(const WalRecord& record, const std::string& room) {
+    return record.type == WalRecord::Type::kChange &&
+           record.change.dn == *ldap::Dn::Parse(kPerson) &&
+           record.change.entry.has_value() &&
+           record.change.entry->GetFirst("roomNumber") == room;
+  }
+};
+
+TEST_F(DduDurabilityTest, DirectDeviceUpdateWaitsForOneFsync) {
+  auto system = Start(config_.data_dir, /*provision=*/true);
+  ASSERT_NE(system, nullptr);
+  constexpr uint64_t kDdus = 20;
+  const uint64_t before = system->durability()->wal_fsyncs();
+  for (uint64_t i = 0; i < kDdus; ++i) {
+    ChangeRoom(*system, "R-" + std::to_string(i));
+  }
+  // The intent's fsync is each DDU's only one: its directory write is
+  // covered by the next DDU's intent fsync (2 per DDU if it waited).
+  EXPECT_LE(system->durability()->wal_fsyncs() - before, kDdus + 1);
+  EXPECT_EQ(RoomOf(*system), "R-" + std::to_string(kDdus - 1));
+}
+
+TEST_F(DduDurabilityTest, EachDirectoryChangeLiesBetweenItsIntentAndResolve) {
+  {
+    auto system = Start(config_.data_dir, /*provision=*/true);
+    ASSERT_NE(system, nullptr);
+    for (int i = 0; i < 5; ++i) ChangeRoom(*system, "R-" + std::to_string(i));
+  }  // Shutdown flushes and closes the WAL.
+  std::vector<WalRecord> log = ReadLog(config_.data_dir);
+  size_t intents = 0;
+  for (size_t i = 0; i < log.size(); ++i) {
+    if (log[i].type != WalRecord::Type::kIntent) continue;
+    ++intents;
+    const uint64_t id = log[i].intent.id;
+    const std::string room = log[i].intent.update.new_record.GetFirst("Room");
+    size_t change = log.size();
+    size_t resolve = log.size();
+    for (size_t j = i + 1; j < log.size() && resolve == log.size(); ++j) {
+      if (change == log.size() && MovesToRoom(log[j], room)) change = j;
+      if (log[j].type == WalRecord::Type::kResolve &&
+          log[j].resolve_id == id) {
+        resolve = j;
+      }
+    }
+    EXPECT_LT(resolve, log.size()) << "intent " << id << " never resolved";
+    EXPECT_LT(change, resolve) << "intent " << id << " (" << room
+                               << ") resolved before its change";
+  }
+  EXPECT_EQ(intents, 5u);
+}
+
+TEST_F(DduDurabilityTest, CrashAfterSettleReplaysTheDduFromItsIntent) {
+  const std::string copy = CopyDir();
+  std::filesystem::remove_all(copy);
+  {
+    auto system = Start(config_.data_dir, /*provision=*/true);
+    ASSERT_NE(system, nullptr);
+    ChangeRoom(*system, "CRASH-1");
+    ASSERT_EQ(RoomOf(*system), "CRASH-1");
+    // Nothing has fsynced since the DDU's intent, so its change and
+    // resolve records are still in kBatch's buffer. The files as they
+    // stand are what a crash here leaves.
+    std::filesystem::copy(config_.data_dir, copy,
+                          std::filesystem::copy_options::recursive);
+  }
+  std::vector<WalRecord> log = ReadLog(copy);
+  ASSERT_FALSE(log.empty());
+  EXPECT_EQ(log.back().type, WalRecord::Type::kIntent);
+  for (const WalRecord& record : log) {
+    EXPECT_FALSE(MovesToRoom(record, "CRASH-1"))
+        << "the DDU's change reached the disk before the crash";
+  }
+
+  auto recovered = Start(copy, /*provision=*/false);
+  ASSERT_NE(recovered, nullptr);
+  EXPECT_EQ(recovered->recovery_stats().intents_pending, 1u);
+  EXPECT_TRUE(Eventually([&] { return RoomOf(*recovered) == "CRASH-1"; }));
+  EXPECT_TRUE(Eventually(
+      [&] { return recovered->durability()->pending_intent_count() == 0; }));
 }
 
 }  // namespace

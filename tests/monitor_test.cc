@@ -148,7 +148,9 @@ TEST(MonitorReadOnlyTest, ReadingTheMonitorWritesNothing) {
     for (int round = 0; round < 3; ++round) {
       auto entries = client.Search("cn=monitor,o=Lucent", "(objectClass=*)");
       ASSERT_TRUE(entries.ok()) << entries.status();
-      ASSERT_EQ(entries->size(), 9u);
+      // The nine sections of MonitorTest plus cn=durability: a data dir
+      // is attached.
+      ASSERT_EQ(entries->size(), 10u);
       for (const ldap::Entry& entry : *entries) {
         auto got = client.Get(entry.dn().ToString());
         ASSERT_TRUE(got.ok()) << got.status();
@@ -179,19 +181,24 @@ size_t EntriesInReply(const std::string& reply) {
   return count;
 }
 
-/// cn=monitor over TCP, wired the way metacomm_serve serves the
-/// gateway: live on every read, with nothing refreshing it.
-TEST_F(MonitorTest, LiveOverTheWire) {
-  ldap::LdapService* gateway = &system_->gateway();
+/// A TcpServer serving `gateway` the way metacomm_serve does.
+std::unique_ptr<net::TcpServer> ServeOverTcp(ldap::LdapService* gateway) {
   net::TcpServerConfig config;
   config.busy_reply = ldap::BusyReply();
   config.error_reply = ldap::FramingErrorReply();
-  net::TcpServer server(std::move(config), [gateway] {
+  return std::make_unique<net::TcpServer>(std::move(config), [gateway] {
     auto session = std::make_shared<ldap::TextProtocolHandler>(gateway);
     return [session](const std::string& request) {
       return session->Handle(request);
     };
   });
+}
+
+/// cn=monitor over TCP, wired the way metacomm_serve serves the
+/// gateway: live on every read, with nothing refreshing it.
+TEST_F(MonitorTest, LiveOverTheWire) {
+  std::unique_ptr<net::TcpServer> tcp = ServeOverTcp(&system_->gateway());
+  net::TcpServer& server = *tcp;
   ASSERT_TRUE(server.Start().ok());
   net::TcpClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
@@ -212,6 +219,54 @@ TEST_F(MonitorTest, LiveOverTheWire) {
   EXPECT_NE(reply.find("monitorInfo: ldapUpdates=1"), std::string::npos)
       << reply;
   server.Stop();
+}
+
+/// With a data dir, cn=durability reports the WAL and its checkpoints
+/// over the wire, and reading it appends nothing to the WAL.
+TEST(MonitorDurabilityTest, DurabilitySectionOverTheWire) {
+  const std::string data_dir =
+      std::string(::testing::TempDir()) + "/metacomm_monitor_durability";
+  std::filesystem::remove_all(data_dir);
+  SystemConfig config;
+  config.durability.data_dir = data_dir;
+  config.durability.checkpoint_interval_micros = 0;
+  {
+    auto created = MetaCommSystem::Create(config);
+    ASSERT_TRUE(created.ok()) << created.status();
+    MetaCommSystem& system = **created;
+    storage::DurabilityManager& durability = *system.durability();
+    ASSERT_TRUE(system.AddPerson("John Doe").ok());
+    ASSERT_TRUE(durability.Checkpoint(system.server().backend()).ok());
+
+    std::unique_ptr<net::TcpServer> server =
+        ServeOverTcp(&system.gateway());
+    ASSERT_TRUE(server->Start().ok());
+    net::TcpClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server->port()).ok());
+    const uint64_t lsn_before = durability.wal()->next_lsn();
+    const std::string search =
+        "SEARCH base: cn=durability,cn=monitor,o=Lucent\nscope: base\n";
+    for (int round = 0; round < 3; ++round) {
+      const std::string reply = client.Call(search);
+      ASSERT_EQ(reply.rfind("RESULT 0", 0), 0u) << reply;
+      EXPECT_EQ(EntriesInReply(reply), 1u) << reply;
+      for (const std::string& info :
+           {"walFsyncs=" + std::to_string(durability.wal_fsyncs()),
+            "nextLsn=" + std::to_string(lsn_before),
+            "walSegments=" +
+                std::to_string(durability.wal()->segment_count()),
+            "walBytes=" + std::to_string(durability.wal()->SizeBytes()),
+            std::string("pendingIntents=0"), std::string("checkpoints=1"),
+            std::string("lastCheckpointError=OK")}) {
+        EXPECT_NE(reply.find("monitorInfo: " + info), std::string::npos)
+            << info << " missing from\n" << reply;
+      }
+    }
+    EXPECT_GT(durability.wal_fsyncs(), 0u);
+    EXPECT_EQ(durability.wal()->next_lsn(), lsn_before);
+    server->Stop();
+  }
+  std::filesystem::remove_all(data_dir);
 }
 
 }  // namespace

@@ -148,6 +148,59 @@ TEST(SchemaTest, UnknownSuperiorRejected) {
   EXPECT_EQ(schema.AddObjectClass(cls).code(), StatusCode::kNotFound);
 }
 
+TEST(SchemaTest, ConstraintListedByAliasAllowsEitherName) {
+  // A class may name an attribute by an alias; the entry may carry it
+  // under its canonical name or under any alias.
+  Schema schema = Schema::Standard();
+  ObjectClassDef mail_user;
+  mail_user.name = "mailUser";
+  mail_user.kind = ObjectClassKind::kAuxiliary;
+  mail_user.superior = "top";
+  mail_user.may = {"rfc822Mailbox"};
+  ASSERT_TRUE(schema.AddObjectClass(mail_user).ok());
+  Entry entry = MinimalPerson("John Doe");
+  entry.SetOne("mail", "jd@lucent.com");
+  EXPECT_EQ(schema.ValidateEntry(entry).code(),
+            StatusCode::kSchemaViolation);
+  entry.AddObjectClass("mailUser");
+  EXPECT_TRUE(schema.ValidateEntry(entry).ok()) << schema.ValidateEntry(entry);
+  Entry aliased = MinimalPerson("Jane Roe");
+  aliased.AddObjectClass("mailUser");
+  aliased.SetOne("rfc822Mailbox", "jr@lucent.com");
+  EXPECT_TRUE(schema.ValidateEntry(aliased).ok())
+      << schema.ValidateEntry(aliased);
+}
+
+TEST(SchemaTest, AttributeAllowedOnlyByAuxiliaryClass) {
+  Schema schema = core::BuildIntegratedSchema();
+  Entry entry = MinimalPerson("John Doe");
+  entry.SetOne("MpMailboxNumber", "9000");
+  Status rejected = schema.ValidateEntry(entry);
+  EXPECT_EQ(rejected.code(), StatusCode::kSchemaViolation);
+  EXPECT_EQ(rejected.message(),
+            "attribute 'MpMailboxNumber' not allowed by object classes of "
+            "cn=John Doe");
+  entry.AddObjectClass(core::kMpUserClass);
+  EXPECT_TRUE(schema.ValidateEntry(entry).ok()) << schema.ValidateEntry(entry);
+}
+
+TEST(SchemaTest, SuperiorsConstraintsApplyToTheDerivedClass) {
+  // inetOrgPerson alone: telephoneNumber is allowed by person's MAY two
+  // superiors up, and person's MUST sn is still enforced.
+  Schema schema = Schema::Standard();
+  Entry entry(Dn::Root().Child(Rdn("cn", "John Doe")));
+  entry.Set("objectClass", {"inetOrgPerson"});
+  entry.SetOne("cn", "John Doe");
+  entry.SetOne("sn", "Doe");
+  entry.SetOne("telephoneNumber", "+1 908 582 4567");
+  EXPECT_TRUE(schema.ValidateEntry(entry).ok()) << schema.ValidateEntry(entry);
+  entry.Remove("sn");
+  Status missing = schema.ValidateEntry(entry);
+  EXPECT_EQ(missing.code(), StatusCode::kSchemaViolation);
+  EXPECT_EQ(missing.message(),
+            "missing mandatory attribute 'sn' in cn=John Doe");
+}
+
 // ---- Integrated schema (paper §5.2) ----
 
 TEST(IntegratedSchemaTest, PersonWithDeviceAuxClasses) {

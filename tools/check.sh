@@ -30,8 +30,10 @@
 #      threaded waves write an LDAP write's directory image after the
 #      devices, on the worker, while the client waits, ltap_test,
 #      whose lock-wait, quiesce and rename cases run a writer thread
-#      against the gateway's one write path, and devices_test, the
-#      record store both device simulators share).
+#      against the gateway's one write path, devices_test, the record
+#      store both device simulators share, and durability_test, whose
+#      threaded deployments log a DDU's directory write behind its
+#      fsynced intent without waiting for a second fsync).
 #   3b. Fault-injection stress under TSan: fault_tolerance_test (the
 #       breaker/repair end-to-end suite, including the threaded
 #       Stop-vs-repair-worker shutdown race) and the randomized
@@ -128,12 +130,13 @@ else
 fi
 
 # -- 3. TSan concurrency tests ---------------------------------------
-note "ThreadSanitizer: threaded_test + parallel_um_test + snapshot_stress_test + wire_test + monitor_test + lexpress_exec_test + batching_test + integration_test + ltap_test + devices_test"
+note "ThreadSanitizer: threaded_test + parallel_um_test + snapshot_stress_test + wire_test + monitor_test + lexpress_exec_test + batching_test + integration_test + ltap_test + devices_test + durability_test"
 if cmake -B build-tsan -S . -DMETACOMM_SANITIZE=thread >/dev/null \
    && cmake --build build-tsan -j "$jobs" \
         --target threaded_test parallel_um_test snapshot_stress_test \
                  wire_test monitor_test lexpress_exec_test \
-                 batching_test integration_test ltap_test devices_test; then
+                 batching_test integration_test ltap_test devices_test \
+                 durability_test; then
   ./build-tsan/tests/threaded_test    || fail "threaded_test under TSan"
   ./build-tsan/tests/parallel_um_test || fail "parallel_um_test under TSan"
   ./build-tsan/tests/snapshot_stress_test \
@@ -147,6 +150,7 @@ if cmake -B build-tsan -S . -DMETACOMM_SANITIZE=thread >/dev/null \
     || fail "integration_test under TSan"
   ./build-tsan/tests/ltap_test || fail "ltap_test under TSan"
   ./build-tsan/tests/devices_test || fail "devices_test under TSan"
+  ./build-tsan/tests/durability_test || fail "durability_test under TSan"
 else
   fail "TSan build"
 fi

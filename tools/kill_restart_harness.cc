@@ -167,7 +167,8 @@ std::string StormDn(int t) {
 
 /// Thread t owns extensions [1000 + 1000t, 1000 + 1000t + 999]; the
 /// counter cycles through them, keeping every MODIFY a device-routed
-/// telephoneNumber change (which exercises the intent log), while the
+/// telephoneNumber change (an LDAP write, so it logs WAL change
+/// records but no intent: only direct device updates do), while the
 /// unambiguous monotone counter itself rides in `description`.
 std::string StormNumber(int t, uint64_t counter) {
   return "+1 908 582 " +
