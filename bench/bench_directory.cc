@@ -164,6 +164,39 @@ void BM_SearchSubstringPrefix(benchmark::State& state) {
 }
 BENCHMARK(BM_SearchSubstringPrefix)->Arg(100)->Arg(1000)->Arg(5000);
 
+/// A name browse as servebench's `lookup` workload sends it: a
+/// "(cn=<First> <Last>*)" subtree search over 2000 people provisioned
+/// through MetaComm (seed 1, so ~14 full person entries match), plus the
+/// LDIF of the reply. The searches above return one entry each; this one
+/// is dominated by handing out, ordering and serializing many entries.
+void BM_SearchBrowse(benchmark::State& state) {
+  constexpr size_t kPopulation = 2000;
+  WorkloadGenerator gen(1);
+  std::vector<Person> people = gen.People(kPopulation);
+  std::unique_ptr<core::MetaCommSystem> system =
+      BuildPopulatedSystem(people, ConfigForPopulation(kPopulation));
+  const Person& target = people[kPopulation / 2];
+  ldap::SearchRequest request;
+  request.base = *Dn::Parse("ou=People,o=Lucent");
+  request.scope = ldap::Scope::kSubtree;
+  request.filter = Filter::Substring(
+      "cn", target.cn.substr(0, target.cn.find_last_of(' ')) + "*");
+  size_t matches = 0;
+  for (auto _ : state) {
+    auto result = system->server().backend().Search(request);
+    if (!result.ok() || result->entries.empty()) {
+      state.SkipWithError("browse failed");
+      return;
+    }
+    matches = result->entries.size();
+    std::string reply = ldap::ToLdif(result->entries);
+    benchmark::DoNotOptimize(reply);
+  }
+  state.counters["matches"] = static_cast<double>(matches);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SearchBrowse);
+
 /// Nearest-rank percentile of per-operation latencies.
 double LatencyPercentile(std::vector<double> values, double p) {
   if (values.empty()) return 0.0;

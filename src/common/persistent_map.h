@@ -40,15 +40,18 @@ class PersistentMap {
   /// Pointer to the value for `key`, or nullptr. The pointee lives as
   /// long as any map sharing the node does.
   const V* Find(std::string_view key) const {
+    return FindBy([key](std::string_view k) { return key.compare(k); });
+  }
+
+  /// Find for a key not held as a string: `compare(stored)` orders the
+  /// sought key against a stored one as std::string_view::compare does.
+  template <typename Compare>
+  const V* FindBy(Compare&& compare) const {
     const Node* node = root_.get();
     while (node != nullptr) {
-      if (key < node->key) {
-        node = node->left.get();
-      } else if (node->key < key) {
-        node = node->right.get();
-      } else {
-        return &node->value;
-      }
+      int order = compare(std::string_view(node->key));
+      if (order == 0) return &node->value;
+      node = order < 0 ? node->left.get() : node->right.get();
     }
     return nullptr;
   }

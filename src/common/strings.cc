@@ -9,17 +9,8 @@ namespace metacomm {
 
 namespace {
 
-char AsciiLower(char c) {
-  return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
-}
-
 char AsciiUpper(char c) {
   return (c >= 'a' && c <= 'z') ? static_cast<char>(c - 'a' + 'A') : c;
-}
-
-bool IsSpace(char c) {
-  return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\f' ||
-         c == '\v';
 }
 
 }  // namespace
@@ -51,34 +42,22 @@ std::string Trim(std::string_view s) {
 
 std::string NormalizeSpace(std::string_view s) {
   std::string out;
-  out.reserve(s.size());
-  bool in_space = true;  // Suppress leading spaces.
-  for (char c : s) {
-    if (IsSpace(c)) {
-      if (!in_space) out.push_back(' ');
-      in_space = true;
-    } else {
-      out.push_back(c);
-      in_space = false;
-    }
-  }
-  if (!out.empty() && out.back() == ' ') out.pop_back();
+  FoldedChars{s, /*keep_case=*/true}.AppendTo(&out);
   return out;
 }
 
 void NormalizeSpaceLowerInto(std::string_view s, std::string* out) {
   out->clear();
-  bool in_space = true;  // Suppress leading spaces.
-  for (char c : s) {
-    if (IsSpace(c)) {
-      if (!in_space) out->push_back(' ');
-      in_space = true;
-    } else {
-      out->push_back(AsciiLower(c));
-      in_space = false;
-    }
+  FoldedChars{s}.AppendTo(out);
+}
+
+bool EqualsNormalizedIgnoreCase(std::string_view a, std::string_view b) {
+  FoldedChars x{a};
+  FoldedChars y{b};
+  for (int c = x.Next();; c = x.Next()) {
+    if (c != y.Next()) return false;
+    if (c < 0) return true;
   }
-  if (!out->empty() && out->back() == ' ') out->pop_back();
 }
 
 bool EqualsIgnoreCase(std::string_view a, std::string_view b) {

@@ -16,6 +16,15 @@ namespace metacomm {
 /// define *the* canonical folding used for DN normalization, attribute
 /// name lookup and filter evaluation.
 
+/// ASCII lower-casing, and the whitespace NormalizeSpace collapses.
+inline char AsciiLower(char c) {
+  return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
+}
+inline bool IsSpace(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\f' ||
+         c == '\v';
+}
+
 /// Returns `s` with ASCII letters lower-cased.
 std::string ToLower(std::string_view s);
 
@@ -39,6 +48,35 @@ std::string NormalizeSpace(std::string_view s);
 /// index; the in-place single scan avoids the two temporaries of
 /// ToLower(NormalizeSpace(s)) on indexing/search hot paths.
 void NormalizeSpaceLowerInto(std::string_view s, std::string* out);
+
+/// Reads NormalizeSpace(text), lower-cased unless `keep_case` (the
+/// caseIgnoreMatch fold), one character at a time without building it:
+/// Next() returns the next character as 0..255, or -1 at the end.
+struct FoldedChars {
+  std::string_view text;
+  bool keep_case = false;
+  size_t pos = 0;
+  bool started = false;
+
+  int Next() {
+    size_t run = pos;
+    while (pos < text.size() && IsSpace(text[pos])) ++pos;
+    if (pos == text.size()) return -1;      // Trailing space is dropped.
+    if (pos > run && started) return ' ';  // An inner run is one space.
+    started = true;
+    char c = text[pos++];
+    return static_cast<unsigned char>(keep_case ? c : AsciiLower(c));
+  }
+  void AppendTo(std::string* out) {
+    for (int c = Next(); c >= 0; c = Next()) {
+      out->push_back(static_cast<char>(c));
+    }
+  }
+};
+
+/// True when NormalizeSpace(a) and NormalizeSpace(b) are equal ignoring
+/// ASCII case (caseIgnoreMatch), compared without building either.
+bool EqualsNormalizedIgnoreCase(std::string_view a, std::string_view b);
 
 /// Case-insensitive equality over ASCII.
 bool EqualsIgnoreCase(std::string_view a, std::string_view b);

@@ -110,18 +110,18 @@ void ReindexSubtree(Backend::AttrIndex* index,
       });
 }
 
-/// Deep-copies `node` rebasing its DN (and its descendants') under
-/// `new_dn` — the ModifyRDN subtree rewrite, expressed as fresh
-/// immutable nodes instead of in-place mutation.
-TreeNodePtr CloneWithNewDn(const Backend::TreeNode& node, const Dn& new_dn) {
+/// Copies `node`'s subtree with `entry` (already renamed) at its top and
+/// every descendant's DN rebased beneath it: the ModifyRDN subtree
+/// rewrite as fresh immutable nodes instead of in-place mutation.
+TreeNodePtr CloneWithNewDn(const Backend::TreeNode& node, Entry entry) {
   auto fresh = std::make_shared<Backend::TreeNode>();
-  fresh->entry = node.entry;
-  fresh->entry.set_dn(new_dn);
+  fresh->entry = std::move(entry);
   node.children.ForEach(
-      [&fresh, &new_dn](const std::string& key, const TreeNodePtr& child) {
+      [&fresh](const std::string& key, const TreeNodePtr& child) {
+        Entry rebased = child->entry;
+        rebased.set_dn(fresh->entry.dn().Child(child->entry.dn().leaf()));
         fresh->children = fresh->children.Insert(
-            key,
-            CloneWithNewDn(*child, new_dn.Child(child->entry.dn().leaf())));
+            key, CloneWithNewDn(*child, std::move(rebased)));
         return true;
       });
   return fresh;
@@ -180,7 +180,8 @@ const Backend::TreeNode* Backend::FindNode(const Snapshot& snapshot,
   const TreeNode* node = snapshot.root.get();
   const auto& rdns = dn.rdns();
   for (auto it = rdns.rbegin(); it != rdns.rend(); ++it) {
-    const TreeNodePtr* child = node->children.Find(it->Normalized());
+    const TreeNodePtr* child = node->children.FindBy(
+        [&it](std::string_view key) { return it->CompareNormalized(key); });
     if (child == nullptr) return nullptr;
     node = child->get();
   }
@@ -543,15 +544,7 @@ Status Backend::ModifyRdnImpl(const Dn& dn, const Rdn& new_rdn,
   // De-index the whole subtree (descendant DNs change too), rebuild it
   // under the new DN, then re-index the rebuilt copy.
   ReindexSubtree(&next.index, node->get(), /*insert=*/false);
-  auto renamed = std::make_shared<TreeNode>();
-  renamed->entry = updated;
-  (*node)->children.ForEach(
-      [&renamed, &new_dn](const std::string& key, const TreeNodePtr& child) {
-        renamed->children = renamed->children.Insert(
-            key,
-            CloneWithNewDn(*child, new_dn.Child(child->entry.dn().leaf())));
-        return true;
-      });
+  TreeNodePtr renamed = CloneWithNewDn(**node, updated);
   ReindexSubtree(&next.index, renamed.get(), /*insert=*/true);
 
   auto new_parent = std::make_shared<TreeNode>();
@@ -630,15 +623,23 @@ StatusOr<SearchResult> Backend::Search(const SearchRequest& request) const {
         read_stats_.candidates_examined.fetch_add(
             plan.candidates.size(), std::memory_order_relaxed);
         // Emit in subtree-scan order so planned and scanned searches
-        // are indistinguishable to callers.
-        std::sort(plan.candidates.begin(), plan.candidates.end(),
-                  [](const auto& a, const auto& b) {
-                    return TreeOrderLess(a.second, b.second);
-                  });
-        uint64_t matched = 0;
+        // are indistinguishable to callers. Each candidate's scope check
+        // and sort key come from its posting's normalized DN, once.
+        std::string base_dn = request.base.Normalized();
+        std::vector<std::string_view> base = TreeOrderKey(base_dn);
+        std::vector<std::pair<std::vector<std::string_view>, const Dn*>>
+            in_scope;
         for (const auto& [norm_dn, dn] : plan.candidates) {
-          if (!dn.IsWithin(request.base)) continue;
-          const TreeNode* node = FindNode(*snapshot, dn);
+          std::vector<std::string_view> key = TreeOrderKey(norm_dn);
+          if (std::mismatch(base.begin(), base.end(), key.begin(), key.end())
+                  .first == base.end()) {
+            in_scope.emplace_back(std::move(key), dn);
+          }
+        }
+        std::sort(in_scope.begin(), in_scope.end());
+        uint64_t matched = 0;
+        for (const auto& [key, dn] : in_scope) {
+          const TreeNode* node = FindNode(*snapshot, *dn);
           if (node == nullptr || !request.filter.Matches(node->entry)) {
             continue;
           }

@@ -117,8 +117,8 @@ StatusOr<std::string> DecodeValue(std::string_view raw) {
   return out;
 }
 
-/// Append-style body of EscapeDnValue; also the building block of the
-/// AppendTo render path, which must not allocate per component.
+/// Escapes one AVA value per RFC 2253 onto `out`: the AppendTo render
+/// path, which must not allocate per component.
 void AppendEscapedDnValue(std::string_view value, std::string* out) {
   for (size_t i = 0; i < value.size(); ++i) {
     char c = value[i];
@@ -131,14 +131,29 @@ void AppendEscapedDnValue(std::string_view value, std::string* out) {
   }
 }
 
-}  // namespace
-
-std::string EscapeDnValue(std::string_view value) {
-  std::string out;
-  out.reserve(value.size());
-  AppendEscapedDnValue(value, &out);
-  return out;
+/// Feeds Rdn::Normalized() to `emit` one character at a time, without
+/// building it, until `emit` returns false: lower(attribute) '=' and
+/// lower(NormalizeSpace(value)) escaped per RFC 2253, per AVA, joined
+/// by '+'.
+template <typename Emit>
+void ForEachNormalizedChar(const std::vector<Ava>& avas, Emit&& emit) {
+  for (size_t i = 0; i < avas.size(); ++i) {
+    if (i > 0 && !emit('+')) return;
+    for (char c : avas[i].attribute) {
+      if (!emit(AsciiLower(c))) return;
+    }
+    if (!emit('=')) return;
+    // Folded values have no outer spaces to escape, only specials and '#'.
+    FoldedChars value{avas[i].value};
+    for (int c = value.Next(), first = 1; c >= 0; c = value.Next(), first = 0) {
+      char ch = static_cast<char>(c);
+      if ((NeedsEscape(ch) || (ch == '#' && first)) && !emit('\\')) return;
+      if (!emit(ch)) return;
+    }
+  }
 }
+
+}  // namespace
 
 Rdn::Rdn(std::string attribute, std::string value) {
   AddAva(std::move(attribute), std::move(value));
@@ -210,13 +225,34 @@ void Rdn::AppendTo(std::string* out) const {
 
 std::string Rdn::Normalized() const {
   std::string out;
-  for (size_t i = 0; i < avas_.size(); ++i) {
-    if (i > 0) out.push_back('+');
-    out += ToLower(avas_[i].attribute);
-    out.push_back('=');
-    out += EscapeDnValue(ToLower(NormalizeSpace(avas_[i].value)));
-  }
+  ForEachNormalizedChar(avas_, [&out](char c) {
+    out.push_back(c);
+    return true;
+  });
   return out;
+}
+
+int Rdn::CompareNormalized(std::string_view key) const {
+  size_t i = 0;
+  int order = 0;
+  ForEachNormalizedChar(avas_, [&](char c) {
+    if (i == key.size()) {
+      order = 1;  // `key` is a proper prefix.
+    } else if (c != key[i]) {
+      order = std::char_traits<char>::lt(c, key[i]) ? -1 : 1;
+    }
+    ++i;
+    return order == 0;
+  });
+  return order != 0 ? order : (i < key.size() ? -1 : 0);
+}
+
+bool operator==(const Rdn& a, const Rdn& b) {
+  return std::equal(a.avas_.begin(), a.avas_.end(), b.avas_.begin(),
+                    b.avas_.end(), [](const Ava& x, const Ava& y) {
+                      return EqualsIgnoreCase(x.attribute, y.attribute) &&
+                             EqualsNormalizedIgnoreCase(x.value, y.value);
+                    });
 }
 
 StatusOr<Dn> Dn::Parse(std::string_view text) {
@@ -286,6 +322,20 @@ std::string Dn::Normalized() const {
     out += rdns_[i].Normalized();
   }
   return out;
+}
+
+std::vector<std::string_view> TreeOrderKey(std::string_view normalized_dn) {
+  std::vector<std::string_view> key;
+  bool escaped = false;
+  for (size_t i = 0, start = 0; i <= normalized_dn.size(); ++i) {
+    if (i < normalized_dn.size() && (escaped || normalized_dn[i] != ',')) {
+      escaped = !escaped && normalized_dn[i] == '\\';
+    } else if (i > 0) {  // An unescaped comma or the end closes an RDN.
+      key.insert(key.begin(), normalized_dn.substr(start, i - start));
+      start = i + 1;
+    }
+  }
+  return key;
 }
 
 }  // namespace metacomm::ldap

@@ -51,9 +51,13 @@ class Rdn {
   /// space-normalized and lower-cased (LDAP caseIgnoreMatch).
   std::string Normalized() const;
 
-  friend bool operator==(const Rdn& a, const Rdn& b) {
-    return a.Normalized() == b.Normalized();
-  }
+  /// Orders Normalized() against `key` as std::string::compare would,
+  /// without building Normalized() (the tree walk's probe).
+  int CompareNormalized(std::string_view key) const;
+
+  /// Equal when the normalized forms are: AVA by AVA, names folded
+  /// for case and values for case and space, without building either.
+  friend bool operator==(const Rdn& a, const Rdn& b);
 
  private:
   std::vector<Ava> avas_;
@@ -105,16 +109,19 @@ class Dn {
   /// Canonical matching form used as a map key (see Rdn::Normalized).
   std::string Normalized() const;
 
+  /// Equal RDN by RDN (see Rdn ==).
   friend bool operator==(const Dn& a, const Dn& b) {
-    return a.Normalized() == b.Normalized();
+    return a.rdns_ == b.rdns_;
   }
 
  private:
   std::vector<Rdn> rdns_;  // Leaf first.
 };
 
-/// Escapes a single AVA value per RFC 2253 for embedding in a DN string.
-std::string EscapeDnValue(std::string_view value);
+/// The normalized RDNs of `normalized_dn` (a Dn::Normalized()), root
+/// first, as views into it. Keys compare (operator<) in subtree-scan
+/// order: ancestors before descendants, siblings by normalized RDN.
+std::vector<std::string_view> TreeOrderKey(std::string_view normalized_dn);
 
 }  // namespace metacomm::ldap
 

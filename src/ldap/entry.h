@@ -1,6 +1,7 @@
 #ifndef METACOMM_LDAP_ENTRY_H_
 #define METACOMM_LDAP_ENTRY_H_
 
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -18,16 +19,24 @@ namespace metacomm::ldap {
 /// the person entry, so "uses a PBX" is expressed by adding
 /// `definityUser` to objectClass and populating its (all-optional)
 /// attributes.
+///
+/// A copy shares its source's attribute map, which is cloned before
+/// either writes it: handing out a stored entry copies its DN and one
+/// pointer. Like any value, one Entry may be read by many threads at
+/// once but written only while no other thread uses it.
 class Entry {
  public:
   Entry() = default;
   explicit Entry(Dn dn) : dn_(std::move(dn)) {}
+  Entry(const Entry& other);
+  Entry& operator=(const Entry& other) { return *this = Entry(other); }
+  Entry(Entry&&) = default;
+  Entry& operator=(Entry&&) = default;
 
   const Dn& dn() const { return dn_; }
   void set_dn(Dn dn) { dn_ = std::move(dn); }
 
-  const AttributeMap& attributes() const { return attributes_; }
-  AttributeMap& mutable_attributes() { return attributes_; }
+  const AttributeMap& attributes() const;
 
   /// True if the attribute exists with at least one value.
   bool Has(std::string_view attribute) const;
@@ -73,8 +82,11 @@ class Entry {
   std::string ToString() const;
 
  private:
+  struct Attributes;
+  /// The map to write: fresh when none is held, cloned when shared.
+  AttributeMap& Mutable();
   Dn dn_;
-  AttributeMap attributes_;
+  std::shared_ptr<Attributes> attributes_;  // Null when empty.
 };
 
 }  // namespace metacomm::ldap

@@ -316,9 +316,7 @@ bool Filter::Matches(const Entry& entry) const {
       auto it = entry.attributes().find(attribute_);
       if (it == entry.attributes().end()) return false;
       for (const std::string& v : it->second.values()) {
-        if (EqualsIgnoreCase(NormalizeSpace(v), NormalizeSpace(value_))) {
-          return true;
-        }
+        if (EqualsNormalizedIgnoreCase(v, value_)) return true;
       }
       return false;
     }

@@ -231,12 +231,6 @@ StatusOr<std::vector<LdifRecord>> ParseLdif(std::string_view text) {
   return records;
 }
 
-std::string ToLdifLine(std::string_view attribute, std::string_view value) {
-  std::string out;
-  AppendLdifLine(attribute, value, &out);
-  return out;
-}
-
 void AppendLdifLine(std::string_view attribute, std::string_view value,
                     std::string* out) {
   out->append(attribute);
@@ -270,8 +264,8 @@ void AppendLdif(const Entry& entry, std::string* out) {
 std::string ToLdif(const std::vector<Entry>& entries) {
   std::string out;
   for (size_t i = 0; i < entries.size(); ++i) {
-    if (i > 0) out += "\n";
-    out += ToLdif(entries[i]);
+    if (i > 0) out.push_back('\n');
+    AppendLdif(entries[i], &out);
   }
   return out;
 }

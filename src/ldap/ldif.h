@@ -36,14 +36,11 @@ std::string ToLdif(const Entry& entry);
 std::string Base64Encode(std::string_view data);
 StatusOr<std::string> Base64Decode(std::string_view encoded);
 
-/// Renders one LDIF "attr: value" line, switching to the base64 form
+/// Append-style serializers for hot paths (the WAL change encoder runs
+/// inside the backend commit path): AppendLdif writes ToLdif(entry);
+/// AppendLdifLine writes one "attr: value" line, in the base64 form
 /// ("attr:: ...") when the value demands it (leading space/colon/<,
 /// trailing space, or non-printable characters).
-std::string ToLdifLine(std::string_view attribute, std::string_view value);
-
-/// Append-style variants for hot serializers (the WAL change encoder
-/// runs inside the backend commit path): identical output to the
-/// ToLdif/ToLdifLine forms, no intermediate strings.
 void AppendLdif(const Entry& entry, std::string* out);
 void AppendLdifLine(std::string_view attribute, std::string_view value,
                     std::string* out);

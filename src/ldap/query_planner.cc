@@ -1,6 +1,7 @@
 #include "ldap/query_planner.h"
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <optional>
 
@@ -10,7 +11,7 @@ namespace metacomm::ldap {
 
 namespace {
 
-using CandidateList = std::vector<std::pair<std::string, Dn>>;
+using CandidateList = std::vector<std::pair<std::string_view, const Dn*>>;
 
 void SortUniqueByDn(CandidateList* candidates) {
   std::sort(candidates->begin(), candidates->end(),
@@ -26,7 +27,7 @@ void SortUniqueByDn(CandidateList* candidates) {
 void AppendPostings(const Backend::Postings& postings, CandidateList* out) {
   postings.ForEach([out](const std::string& norm_dn,
                          const std::shared_ptr<const Dn>& dn) {
-    out->emplace_back(norm_dn, *dn);
+    out->emplace_back(norm_dn, dn.get());
     return true;
   });
 }
@@ -35,20 +36,9 @@ void AppendPostings(const Backend::Postings& postings, CandidateList* out) {
 /// DNs, so either side's Dn works.
 CandidateList Intersect(const CandidateList& a, const CandidateList& b) {
   CandidateList out;
-  out.reserve(std::min(a.size(), b.size()));
-  auto ia = a.begin();
-  auto ib = b.begin();
-  while (ia != a.end() && ib != b.end()) {
-    if (ia->first < ib->first) {
-      ++ia;
-    } else if (ib->first < ia->first) {
-      ++ib;
-    } else {
-      out.push_back(*ia);
-      ++ia;
-      ++ib;
-    }
-  }
+  std::set_intersection(
+      a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out),
+      [](const auto& x, const auto& y) { return x.first < y.first; });
   return out;
 }
 
@@ -152,19 +142,6 @@ QueryPlan PlanFilter(const Backend::AttrIndex& index, const Filter& filter) {
     plan.candidates = std::move(*candidates);
   }
   return plan;
-}
-
-bool TreeOrderLess(const Dn& a, const Dn& b) {
-  const std::vector<Rdn>& ra = a.rdns();
-  const std::vector<Rdn>& rb = b.rdns();
-  size_t common = std::min(ra.size(), rb.size());
-  // RDNs are stored leaf-first; compare from the root side.
-  for (size_t i = 1; i <= common; ++i) {
-    std::string ka = ra[ra.size() - i].Normalized();
-    std::string kb = rb[rb.size() - i].Normalized();
-    if (ka != kb) return ka < kb;
-  }
-  return ra.size() < rb.size();  // Ancestors precede descendants.
 }
 
 }  // namespace metacomm::ldap

@@ -1,7 +1,7 @@
 #ifndef METACOMM_LDAP_QUERY_PLANNER_H_
 #define METACOMM_LDAP_QUERY_PLANNER_H_
 
-#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -21,8 +21,9 @@ struct QueryPlan {
   /// SUPERSET of the matching entries (substring prefixes and AND
   /// intersections over-approximate): the executor re-evaluates the
   /// full filter against every candidate, so planned and scanned
-  /// searches return identical results.
-  std::vector<std::pair<std::string, Dn>> candidates;
+  /// searches return identical results. Each pair is a posting's key
+  /// and DN, owned by the index: valid while the index lives.
+  std::vector<std::pair<std::string_view, const Dn*>> candidates;
 };
 
 /// Plans `filter` against the ordered value index of a snapshot.
@@ -40,12 +41,6 @@ struct QueryPlan {
 /// rules (numeric-aware ordering, phonetic folding, complements) do
 /// not align with the index's normalized lexicographic key order.
 QueryPlan PlanFilter(const Backend::AttrIndex& index, const Filter& filter);
-
-/// True when `a` precedes `b` in subtree-scan (pre-)order: ancestors
-/// before descendants, siblings ordered by normalized RDN. Sorting
-/// planner candidates with this yields exactly the entry order a
-/// subtree scan produces.
-bool TreeOrderLess(const Dn& a, const Dn& b);
 
 }  // namespace metacomm::ldap
 

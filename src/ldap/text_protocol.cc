@@ -294,7 +294,7 @@ Status TextProtocolClient::Modify(const OpContext& ctx,
         break;
     }
     for (const std::string& value : mod.values) {
-      body += ToLdifLine(mod.attribute, value);
+      AppendLdifLine(mod.attribute, value, &body);
     }
     body += "-\n";
   }

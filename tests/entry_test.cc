@@ -1,5 +1,10 @@
 #include "ldap/entry.h"
 
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace metacomm::ldap {
@@ -93,6 +98,98 @@ TEST(EntryTest, ToStringIsLdifLike) {
   std::string text = entry.ToString();
   EXPECT_NE(text.find("dn: cn=X"), std::string::npos);
   EXPECT_NE(text.find("cn: X"), std::string::npos);
+}
+
+Entry MakePat() {
+  Entry entry(*Dn::Parse("cn=Pat,o=Lucent"));
+  entry.SetOne("cn", "Pat");
+  entry.Set("mail", {"a@x", "b@x"});
+  entry.AddObjectClass("top");
+  entry.AddObjectClass("person");
+  return entry;
+}
+
+/// Every writer of Entry, each one changing Pat's image.
+std::vector<std::pair<const char*, std::function<void(Entry*)>>>
+Writers() {
+  return {
+      {"Set", [](Entry* e) { e->Set("mail", {"c@x"}); }},
+      {"SetOne", [](Entry* e) { e->SetOne("sn", "Q"); }},
+      {"AddValue", [](Entry* e) { e->AddValue("mail", "c@x"); }},
+      {"RemoveValue", [](Entry* e) { e->RemoveValue("mail", "A@X"); }},
+      {"Remove", [](Entry* e) { e->Remove("mail"); }},
+      {"AddObjectClass",
+       [](Entry* e) { e->AddObjectClass("definityUser"); }},
+      {"set_dn", [](Entry* e) { e->set_dn(*Dn::Parse("cn=Lee,o=Lucent")); }},
+  };
+}
+
+TEST(EntryTest, CopiesChangeIndependentlyThroughEveryWriter) {
+  const Entry pat = MakePat();
+  for (const auto& [name, write] : Writers()) {
+    SCOPED_TRACE(name);
+    // A written copy leaves its source (and the source's other copies)
+    // as they were.
+    Entry source = MakePat();
+    Entry sibling = source;
+    Entry copy = source;
+    write(&copy);
+    EXPECT_FALSE(copy == pat);
+    EXPECT_EQ(source, pat);
+    EXPECT_EQ(sibling, pat);
+
+    // A written source leaves its copies as they were, whether copy-
+    // constructed, copy-assigned or copied from a copy.
+    Entry original = MakePat();
+    Entry constructed = original;
+    Entry assigned;
+    assigned = original;
+    Entry second_hand = constructed;
+    write(&original);
+    EXPECT_FALSE(original == pat);
+    EXPECT_EQ(constructed, pat);
+    EXPECT_EQ(assigned, pat);
+    EXPECT_EQ(second_hand, pat);
+
+    // Writing a copy twice, then its source, keeps both images apart.
+    Entry again = MakePat();
+    Entry twice = again;
+    write(&twice);
+    twice.SetOne("description", "twice");
+    again.SetOne("description", "source");
+    EXPECT_EQ(twice.GetFirst("description"), "twice");
+    EXPECT_EQ(again.GetFirst("description"), "source");
+  }
+}
+
+TEST(EntryTest, MovedFromEntryIsEmptyAndWritable) {
+  Entry source = MakePat();
+  Entry moved = std::move(source);
+  EXPECT_EQ(moved, MakePat());
+  source = Entry(*Dn::Parse("cn=Fresh,o=Lucent"));
+  EXPECT_TRUE(source.attributes().empty());
+  source.SetOne("cn", "Fresh");
+  EXPECT_EQ(source.GetFirst("cn"), "Fresh");
+  EXPECT_EQ(moved.GetFirst("cn"), "Pat");
+}
+
+TEST(EntryTest, ProjectKeepsTheListedAttributesOrAll) {
+  const Entry pat = MakePat();
+  Entry all = pat.Project({});
+  EXPECT_EQ(all, pat);
+  all.SetOne("cn", "Changed");  // The projection is a copy.
+  EXPECT_EQ(pat.GetFirst("cn"), "Pat");
+
+  Entry some = pat.Project({"MAIL", "cn", "missing"});
+  EXPECT_EQ(some.dn(), pat.dn());
+  EXPECT_EQ(some.attributes().size(), 2u);
+  EXPECT_EQ(some.GetAll("mail"), pat.GetAll("mail"));
+  EXPECT_EQ(some.GetFirst("cn"), "Pat");
+  EXPECT_FALSE(some.Has("objectClass"));
+  some.Remove("mail");
+  EXPECT_TRUE(pat.Has("mail"));
+
+  EXPECT_TRUE(pat.Project({"missing"}).attributes().empty());
 }
 
 // Paper §5.3: LDAP sets hold atomic values only — related fields

@@ -82,6 +82,29 @@ class QueryPlannerTest : public ::testing::Test {
          {"telephoneNumber", {"+1 908 582 1003"}}});
     Add("cn=Laser Printer,ou=Equipment,o=Lucent",
         {{"cn", {"Laser Printer"}}, {"objectClass", {"top", "device"}}});
+    // Names whose normalized forms hold an escaped comma, a '+' and
+    // RDNs that extend a sibling's ("cn=doe" < "cn=doe+l=..." <
+    // "cn=doe\, john"; "ou=team" < "ou=team a"), with children under
+    // the shorter names: subtree order must cut RDNs at unescaped
+    // commas only, and an RDN that ends first sorts first.
+    Add("cn=Doe,ou=People,o=Lucent",
+        {{"cn", {"Doe"}}, {"objectClass", {"top", "person"}},
+         {"telephoneNumber", {"+1 908 582 3000"}}});
+    Add("cn=Pager,cn=Doe,ou=People,o=Lucent",
+        {{"cn", {"Pager"}}, {"objectClass", {"top", "device"}},
+         {"telephoneNumber", {"+1 908 582 3001"}}});
+    Add("cn=Doe+l=Murray Hill,ou=People,o=Lucent",
+        {{"cn", {"Doe"}}, {"l", {"Murray Hill"}},
+         {"objectClass", {"top", "person"}},
+         {"telephoneNumber", {"+1 908 582 3002"}}});
+    Add("CN=doe\\,  John,ou=People,o=Lucent",
+        {{"cn", {"Doe, John"}}, {"objectClass", {"top", "person"}},
+         {"telephoneNumber", {"+1 908 582 3003"}}});
+    Add("ou=Team,ou=People,o=Lucent",
+        {{"ou", {"Team"}}, {"objectClass", {"top"}}});
+    Add("cn=Zed,ou=Team,ou=People,o=Lucent",
+        {{"cn", {"Zed"}}, {"objectClass", {"top", "person"}},
+         {"telephoneNumber", {"+1 908 582 3004"}}});
   }
 
   void Add(const char* dn,
@@ -154,10 +177,18 @@ TEST_F(QueryPlannerTest, PlannedSearchesMatchNaiveScanGoldenCorpus) {
       "(!(cn=John Doe))",
       "(|(cn=John Doe)(sn=*oe))",
       "(&(mail=*)(sn=*oe))",
+      // Indexed over the escaped-comma, '+' and prefix-sibling names.
+      "(cn=Doe*)",
+      "(cn=doe)",
+      "(cn=doe,  john)",
+      "(telephoneNumber=+1 908 582 3*)",
+      "(|(cn=Zed)(ou=Team*))",
   };
   const std::vector<Dn> bases = {Dn::Root(), MustParse("o=Lucent"),
                                  MustParse("ou=People,o=Lucent"),
-                                 MustParse("ou=Team A,ou=People,o=Lucent")};
+                                 MustParse("ou=Team A,ou=People,o=Lucent"),
+                                 MustParse("ou=Team,ou=People,o=Lucent"),
+                                 MustParse("cn=Doe,ou=People,o=Lucent")};
   for (const std::string& text : corpus) {
     Filter filter = MustParseFilter(text);
     for (const Dn& base : bases) {
@@ -230,7 +261,7 @@ TEST_F(QueryPlannerTest, PlanFilterExposesCandidates) {
       snapshot->index, Filter::Equality("cn", "John Doe"));
   EXPECT_TRUE(equality.indexed);
   ASSERT_EQ(equality.candidates.size(), 1u);
-  EXPECT_EQ(equality.candidates[0].second.ToString(),
+  EXPECT_EQ(equality.candidates[0].second->ToString(),
             "cn=John Doe,ou=People,o=Lucent");
 
   QueryPlan present = PlanFilter(snapshot->index, Filter::Present("cn"));
@@ -240,6 +271,13 @@ TEST_F(QueryPlannerTest, PlanFilterExposesCandidates) {
       snapshot->index, Filter::Equality("roomNumber", "4E-432"));
   EXPECT_TRUE(empty.indexed);
   EXPECT_TRUE(empty.candidates.empty());
+}
+
+/// Subtree order of two DNs, through the keys a planned search sorts.
+bool TreeOrderLess(const Dn& a, const Dn& b) {
+  std::string norm_a = a.Normalized();
+  std::string norm_b = b.Normalized();
+  return TreeOrderKey(norm_a) < TreeOrderKey(norm_b);
 }
 
 TEST(TreeOrderLessTest, AncestorsBeforeDescendantsSiblingsByRdn) {

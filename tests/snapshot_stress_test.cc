@@ -158,6 +158,113 @@ TEST(SnapshotStressTest, ReadersSeeConsistentVersionsUnderWriterStorm) {
   EXPECT_GT(stats.indexed_plans, 0u);
 }
 
+// Copy-on-write under fire: an entry a Search returns shares the
+// stored image's attribute map. Readers keep the entries of a Search,
+// wait until the writer has replaced those entries (so the versions
+// they were copied from can be dropped), then write to them and drop
+// them. A clone decided by shared_ptr::use_count() would see a count
+// of 1 here and write in place, racing the writer's earlier reads of
+// the same map under ThreadSanitizer; a write that skipped the clone
+// while the map was still shared would leak into the stored image.
+TEST(SnapshotStressTest, ReaderCopiesWriteWithoutTouchingStoredImages) {
+  Backend backend;
+  {
+    Entry lucent(MustParse("o=Lucent"));
+    lucent.SetOne("o", "Lucent");
+    ASSERT_TRUE(backend.Add(lucent).ok());
+    Entry people(MustParse("ou=People,o=Lucent"));
+    people.SetOne("ou", "People");
+    ASSERT_TRUE(backend.Add(people).ok());
+    for (int i = 0; i < kPersons; ++i) {
+      Entry person(MustParse(PersonDn(i)));
+      person.AddObjectClass("person");
+      person.SetOne("cn", "Person " + std::to_string(i));
+      person.SetOne("sn", "Stress");
+      person.SetOne("stamp", "v0");
+      person.SetOne("stampCopy", "v0");
+      ASSERT_TRUE(backend.Add(person).ok());
+    }
+  }
+
+  constexpr int kWrites = 1500;
+  std::atomic<bool> stop{false};
+  std::thread writer([&backend, &stop] {
+    for (int i = 0; i < kWrites; ++i) {
+      std::string value = "v" + std::to_string(i);
+      Modification stamp;
+      stamp.type = Modification::Type::kReplace;
+      stamp.attribute = "stamp";
+      stamp.values = {value};
+      Modification copy = stamp;
+      copy.attribute = "stampCopy";
+      ASSERT_TRUE(backend.Modify(MustParse(PersonDn(i % kPersons)),
+                                 {stamp, copy})
+                      .ok());
+    }
+    stop.store(true);
+  });
+
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&backend, &stop, t] {
+      const std::string mine = "reader" + std::to_string(t);
+      const Dn moved = MustParse("cn=" + mine + ",o=Lucent");
+      SearchRequest request;
+      request.base = MustParse("ou=People,o=Lucent");
+      request.scope = Scope::kSubtree;
+      request.filter = Filter::Equality("sn", "Stress");
+      while (!stop.load()) {
+        auto result = backend.Search(request);
+        ASSERT_TRUE(result.ok());
+        ASSERT_EQ(result->entries.size(), static_cast<size_t>(kPersons));
+        std::vector<Entry> kept = std::move(result->entries);
+        for (const Entry& entry : kept) CheckStamps(entry, "search copy");
+        uint64_t seen = backend.ChangeCount();
+        while (!stop.load() && backend.ChangeCount() < seen + kPersons) {
+          std::this_thread::yield();
+        }
+        // Each kept entry written through a different writer.
+        for (size_t i = 0; i < kept.size(); ++i) {
+          switch (i % 4) {
+            case 0: kept[i].SetOne("stamp", mine); break;
+            case 1: kept[i].AddValue("stampCopy", mine); break;
+            case 2: kept[i].Remove("stamp"); break;
+            default: kept[i].set_dn(moved);
+          }
+        }
+        for (size_t i = 0; i < kept.size(); ++i) {
+          switch (i % 4) {
+            case 0: ASSERT_EQ(kept[i].GetFirst("stamp"), mine); break;
+            case 1: ASSERT_EQ(kept[i].GetAll("stampCopy").size(), 2u); break;
+            case 2: ASSERT_FALSE(kept[i].Has("stamp")); break;
+            default:
+              ASSERT_EQ(kept[i].dn(), moved);
+              CheckStamps(kept[i], "moved copy");
+          }
+        }
+        // The stored images never see a reader's write.
+        for (int i = 0; i < kPersons; ++i) {
+          auto stored = backend.Get(MustParse(PersonDn(i)));
+          ASSERT_TRUE(stored.ok());
+          CheckStamps(*stored, "stored");
+          ASSERT_EQ(stored->GetAll("stamp").size(), 1u);
+          ASSERT_NE(stored->GetFirst("stamp"), mine);
+        }
+      }  // `kept` drops here, racing the writer's clones.
+    });
+  }
+
+  writer.join();
+  for (std::thread& reader : readers) reader.join();
+  for (int i = 0; i < kPersons; ++i) {
+    auto stored = backend.Get(MustParse(PersonDn(i)));
+    ASSERT_TRUE(stored.ok());
+    CheckStamps(*stored, "final");
+    int last_write = (kWrites - 1 - i) / kPersons * kPersons + i;
+    EXPECT_EQ(stored->GetFirst("stamp"), "v" + std::to_string(last_write));
+  }
+}
+
 TEST(SnapshotStressTest, HeldSnapshotIsImmutableAcrossLaterWrites) {
   Backend backend;
   Entry suffix(MustParse("o=Lucent"));

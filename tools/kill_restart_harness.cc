@@ -17,8 +17,9 @@
 // Each iteration is one crash point; --iterations=10 sweeps ten of
 // them at seeded-random offsets into the storm.
 //
-//   kill_restart_harness --serve=./tools/metacomm_serve \
+//   kill_restart_harness --serve=./tools/metacomm_serve
 //       --data-dir=/dev/shm/mc_kill --iterations=10 --seed=42
+//       (one command line)
 
 #include <signal.h>
 #include <sys/types.h>
@@ -199,7 +200,7 @@ std::string ModifyRequest(int t, uint64_t counter) {
 
 /// Drives one thread's slice of the storm until the server dies (the
 /// SIGKILL lands mid-storm) or `stop` is raised.
-void StormThread(const Options& opt, uint16_t port, int t,
+void StormThread(uint16_t port, int t,
                  std::atomic<bool>* stop, Ledger* ledger) {
   metacomm::net::TcpClient client;
   if (!client.Connect("127.0.0.1", port).ok()) return;
@@ -342,8 +343,8 @@ int main(int argc, char** argv) {
     std::atomic<bool> stop{false};
     std::vector<std::thread> storm;
     for (int t = 0; t < opt.threads; ++t) {
-      storm.emplace_back(StormThread, std::cref(opt), server->port, t,
-                         &stop, &ledgers[static_cast<size_t>(t)]);
+      storm.emplace_back(StormThread, server->port, t, &stop,
+                         &ledgers[static_cast<size_t>(t)]);
     }
     // ...SIGKILL it at a seeded-random point mid-storm...
     std::uniform_int_distribution<int64_t> offset(opt.min_storm_ms,

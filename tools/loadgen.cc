@@ -6,8 +6,8 @@
 // latency percentiles and busy-shed counts.
 //
 //   metacomm_serve --port=3890 &
-//   loadgen --port=3890 --connections=1000 --threads=8 \
-//           --duration-seconds=30 --write-pct=20
+//   loadgen --port=3890 --connections=1000 --threads=8
+//           --duration-seconds=30 --write-pct=20     (one command line)
 
 #include <algorithm>
 #include <atomic>
