@@ -780,7 +780,9 @@ void UpdateManager::PropagateWave(std::span<WorkItem> wave,
     lu.item = &item;
     lu.update = item.hydrate ? HydrateDeviceUpdate(std::move(item.descriptor))
                              : std::move(item.descriptor);
-    StatusOr<UpdatePlan> plan = PlanUpdate(lu.update, item.ldap_current, vm);
+    StatusOr<UpdatePlan> plan =
+        item.push ? UpdatePlan{{*item.push}, lu.update.new_record}
+                  : PlanUpdate(lu.update, item.ldap_current, vm);
     if (!plan.ok()) {
       // Closure fixpoint failure (runtime cycle detection, §4.2) or a
       // mapping evaluation error.
@@ -835,7 +837,8 @@ void UpdateManager::PropagateWave(std::span<WorkItem> wave,
   // whole wave and every repository at once: they are autonomous, and
   // no conversation reads another's result. Results settle in filter
   // order once all have returned. Device-side failures are logged and
-  // notified but do not fail the originating operation (§4.4).
+  // notified but do not fail the originating operation (§4.4); they
+  // fail a push unit, whose outcome is its one apply.
   std::vector<std::shared_ptr<Conversation>> conversations;
   for (RepositoryFilter* filter : filters_) {
     auto conversation = std::make_shared<Conversation>();
@@ -844,7 +847,7 @@ void UpdateManager::PropagateWave(std::span<WorkItem> wave,
       if (live[i].stopped) continue;
       for (PlannedOp& op : live[i].plan.ops) {
         if (!EqualsIgnoreCase(op.repository, filter->name())) continue;
-        if (op.update.conditional) {
+        if (op.update.conditional && !live[i].item->push) {
           // Reapplication to the originator (§5.4).
           if (!config_.reapply_to_originator) continue;
           counters_.reapplications.fetch_add(1, std::memory_order_relaxed);
@@ -865,8 +868,14 @@ void UpdateManager::PropagateWave(std::span<WorkItem> wave,
       lexpress::UpdateDescriptor& update = conversation->updates[i];
       ApplyResult& applied = conversation->applied[i];
       if (!applied.ok()) {
-        HandleFailure(filter->name(), applied.outcome(), applied.status(),
-                      update);
+        // An unlogged failure nothing will repair: the unit fails with the
+        // log write. A push unit's outcome is its apply.
+        Status failed = owner.item->redrive
+                            ? applied.status()
+                            : HandleFailure(filter->name(), applied.outcome(),
+                                            applied.status(), update);
+        if (owner.item->push && failed.ok()) failed = applied.status();
+        if (owner.status.ok()) owner.status = failed;
         // Saga undo compensates the unit everywhere else, below.
         if (config_.saga_undo) owner.stopped = true;
         continue;
@@ -890,25 +899,51 @@ void UpdateManager::PropagateWave(std::span<WorkItem> wave,
   }
 
   // Phase 3 — one directory write: Path A's closure image plus the §5.5
-  // round (skipped when stopped). A failed write fails the unit.
+  // round (skipped when stopped: no write without Path A's image). A
+  // failed write fails the unit.
   for (LiveUnit& lu : live) {
-    if (lu.update.op != lexpress::DescriptorOp::kDelete && lu.status.ok()) {
+    if (lu.update.op != lexpress::DescriptorOp::kDelete) {
       if (lu.stopped) lu.results.clear();
-      lu.status = BackfillGeneratedInfo(lu.update, lu.plan, lu.results,
-                                        lu.item->ldap_current);
+      Status written = BackfillGeneratedInfo(lu.update, lu.plan, lu.results,
+                                             lu.item->ldap_current);
+      if (lu.status.ok()) lu.status = written;
     }
     SettleItem(*lu.item, lu.status, /*processed=*/true);
   }
 }
 
 void UpdateManager::Converse(Conversation& conversation) {
+  RepositoryFilter* filter = conversation.filter;
+  const std::vector<lexpress::UpdateDescriptor>& updates = conversation.updates;
   if (config_.saga_undo) {
-    for (const lexpress::UpdateDescriptor& update : conversation.updates) {
-      conversation.priors.push_back(FetchPrior(conversation.filter, update));
+    for (const lexpress::UpdateDescriptor& update : updates) {
+      conversation.priors.push_back(FetchPrior(filter, update));
     }
   }
-  conversation.applied =
-      ApplyToRepository(conversation.filter, conversation.updates);
+  CircuitBreaker& breaker = *breakers_.at(filter->name());
+  if (!breaker.Allow(RealClock::Get()->NowMicros())) {
+    // Open circuit: no administrative conversation is even opened. The
+    // wave logs each update replayably; the healthy repositories'
+    // fan-out is untouched, which is the breaker's whole point.
+    counters_.breaker_open_skips.fetch_add(updates.size(),
+                                           std::memory_order_relaxed);
+    conversation.applied.assign(
+        updates.size(), ApplyResult::SkippedOpenCircuit(filter->name()));
+  } else {
+    conversation.applied = filter->ApplyBatch(updates);
+    if (updates.size() > 1) {
+      counters_.rtts_saved.fetch_add(updates.size() - 1,
+                                     std::memory_order_relaxed);
+    }
+    // A permanent rejection is proof of life, as an apply is.
+    for (const ApplyResult& result : conversation.applied) {
+      if (result.outcome() == ApplyOutcome::kRetryable) {
+        breaker.OnRetryableFailure(RealClock::Get()->NowMicros());
+      } else {
+        breaker.OnSuccess();
+      }
+    }
+  }
   conversation.done.set_value();
 }
 
@@ -950,13 +985,15 @@ void UpdateManager::UndoApplied(
 void UpdateManager::HandleError(const Status& error,
                                 const lexpress::UpdateDescriptor& update) {
   // No replay target: the entry is audit-only (kPermanent, no
-  // errorRepository), whatever the status code said.
-  HandleFailure(/*repository=*/"", ApplyOutcome::kPermanent, error, update);
+  // errorRepository), whatever the status code said. Its caller fails
+  // with `error` already.
+  (void)HandleFailure(/*repository=*/"", ApplyOutcome::kPermanent, error,
+                      update);
 }
 
-void UpdateManager::HandleFailure(const std::string& repository,
-                                  ApplyOutcome outcome, const Status& error,
-                                  const lexpress::UpdateDescriptor& update) {
+Status UpdateManager::HandleFailure(const std::string& repository,
+                                    ApplyOutcome outcome, const Status& error,
+                                    const lexpress::UpdateDescriptor& update) {
   // Saga mode compensates the whole sequence on failure; replaying the
   // failed update later would undo the compensation, so its error
   // entry is audit-only.
@@ -969,11 +1006,13 @@ void UpdateManager::HandleFailure(const std::string& repository,
   // to the administrator. The administrator can browse through the
   // errors and manually fix the resulting inconsistencies" (§4.4).
   // Retryable failures additionally carry the serialized descriptor,
-  // so "manually" is now optional: the repair worker replays them once
-  // the repository recovers.
+  // so "manually" is now optional: the repair worker re-drives them
+  // once the repository recovers.
+  Status logged = Status::Ok();
   if (!config_.error_base.empty()) {
     uint64_t seq = error_sequence_.fetch_add(1) + 1;
     StatusOr<ldap::Dn> base = ldap::Dn::Parse(config_.error_base);
+    logged = base.status();
     if (base.ok()) {
       ldap::Entry entry(
           base->Child(ldap::Rdn("cn", "error-" + std::to_string(seq))));
@@ -995,11 +1034,11 @@ void UpdateManager::HandleFailure(const std::string& repository,
       ldap::OpContext ctx;
       ctx.principal = "cn=metacomm";
       ctx.internal = true;
-      Status logged = gateway_->Add(ctx, ldap::AddRequest{entry});
-      if (!logged.ok()) {
-        METACOMM_LOG(kWarning) << "error-log write failed: "
-                               << logged.ToString();
-      }
+      logged = gateway_->Add(ctx, ldap::AddRequest{entry});
+    }
+    if (!logged.ok()) {
+      METACOMM_LOG(kWarning) << "error-log write failed: "
+                             << logged.ToString();
     }
   }
   // Copy under the lock, invoke outside it: worker threads reach here
@@ -1011,44 +1050,12 @@ void UpdateManager::HandleFailure(const std::string& repository,
     callback = admin_callback_;
   }
   if (callback) callback(error, update);
+  return logged;
 }
 
 CircuitBreaker* UpdateManager::breaker(const std::string& repository) const {
   auto it = breakers_.find(repository);
   return it == breakers_.end() ? nullptr : it->second.get();
-}
-
-std::vector<ApplyResult> UpdateManager::ApplyToRepository(
-    RepositoryFilter* filter,
-    const std::vector<lexpress::UpdateDescriptor>& updates) {
-  CircuitBreaker* breaker = this->breaker(filter->name());
-  if (breaker != nullptr &&
-      !breaker->Allow(RealClock::Get()->NowMicros())) {
-    // Open circuit: no administrative conversation is even opened. The
-    // caller logs each update replayably; the healthy repositories'
-    // fan-out is untouched, which is the breaker's whole point.
-    counters_.breaker_open_skips.fetch_add(updates.size(),
-                                           std::memory_order_relaxed);
-    return std::vector<ApplyResult>(
-        updates.size(), ApplyResult::SkippedOpenCircuit(filter->name()));
-  }
-  std::vector<ApplyResult> applied = filter->ApplyBatch(updates);
-  if (updates.size() > 1) {
-    counters_.rtts_saved.fetch_add(updates.size() - 1,
-                                   std::memory_order_relaxed);
-  }
-  if (breaker != nullptr) {
-    for (const ApplyResult& result : applied) {
-      if (result.outcome() == ApplyOutcome::kRetryable) {
-        breaker->OnRetryableFailure(RealClock::Get()->NowMicros());
-      } else {
-        // Applied, or permanently rejected — either way the device
-        // responded, so the administrative link is alive.
-        breaker->OnSuccess();
-      }
-    }
-  }
-  return applied;
 }
 
 void UpdateManager::RepairLoop() {
@@ -1109,194 +1116,175 @@ Status UpdateManager::RunRepairPass() {
   Status first_error = Status::Ok();
   for (const auto& [repository, backlog] : pending) {
     if (stopping()) break;
-    std::vector<ldap::Dn> replayed_dns;
-    bool need_sync =
-        ReplayRepository(FindFilter(repository), backlog, &replayed_dns);
-    if (need_sync && !stopping()) {
-      // Replay could not converge (permanent rejection, or the
-      // directory drifted past the logged images): fall back to full
-      // resynchronization (§4.1), which subsumes the whole backlog.
-      counters_.repair_syncs.fetch_add(1, std::memory_order_relaxed);
-      Status synced = Synchronize(repository);
-      if (!synced.ok()) {
-        if (first_error.ok()) first_error = synced;
-        // Device still down: keep the backlog for the next pass.
-        continue;
-      }
-      for (const auto& [failure, dn] : backlog) DeleteErrorEntry(dn);
-    } else {
-      for (const ldap::Dn& dn : replayed_dns) DeleteErrorEntry(dn);
+    Status redriven = RedriveBacklog(FindFilter(repository), backlog,
+                                     stop_epoch(), /*sync=*/nullptr);
+    if (ClassifyStatus(redriven) != ApplyOutcome::kPermanent || stopping()) {
+      continue;  // Applied, or the device is still down: the next pass.
     }
+    // The device rejected the directory's own image: fall back to full
+    // resynchronization (§4.1), which re-drives the backlog and settles
+    // what the device still rejects with its device-wins pull.
+    METACOMM_LOG(kWarning) << repository << ": falling back to sync: "
+                           << redriven.ToString();
+    counters_.repair_syncs.fetch_add(1, std::memory_order_relaxed);
+    Status synced = Synchronize(repository);
+    if (!synced.ok() && first_error.ok()) first_error = synced;
   }
   return first_error;
 }
 
-bool UpdateManager::ReplayRepository(
-    RepositoryFilter* filter, const std::vector<PendingReplay>& backlog,
-    std::vector<ldap::Dn>* replayed_dns) {
-  const std::string& ldap_key = filter->to_ldap().key_target_attr();
-  // Convergence is checked once per entity, against the LAST replayed
-  // update: intermediate replays legitimately disagree with the
-  // directory's final image while the backlog drains.
-  std::map<std::string, lexpress::UpdateDescriptor, CaseInsensitiveLess>
-      last_by_key;
-  for (const auto& [failure, entry_dn] : backlog) {
-    if (stopping()) return false;
+Status UpdateManager::RedriveBacklog(RepositoryFilter* filter,
+                                     const std::vector<PendingReplay>& backlog,
+                                     uint64_t epoch,
+                                     std::set<std::string>* sync) {
+  const bool lock = sync == nullptr;
+  const std::string& key_attr = filter->key_attr();
+  auto keys_of = [&](const PendingReplay& entry) {
+    const lexpress::UpdateDescriptor& update = entry.first.update;
+    return std::array{update.old_record.GetFirst(key_attr),
+                      update.new_record.GetFirst(key_attr)};
+  };
+  std::vector<std::string> keys;        // First-seen errorSeq order.
+  std::map<std::string, bool> settled;  // Per key: its unit settled.
+  for (const PendingReplay& entry : backlog) {
+    for (std::string& key : keys_of(entry)) {
+      if (!key.empty() && settled.emplace(key, false).second) {
+        keys.push_back(key);
+        if (sync != nullptr) sync->insert(key);
+      }
+    }
+  }
+  auto holder = [&](const std::string& key)
+      -> StatusOr<std::optional<ldap::Entry>> {
+    lexpress::Record device_key(filter->schema());
+    device_key.SetOne(key_attr, key);
+    METACOMM_ASSIGN_OR_RETURN(lexpress::Record mapped,
+                              filter->to_ldap().MapRecord(device_key));
+    return Holder(filter, mapped);
+  };
 
-    // Serialize the replay against concurrent client writes via the
-    // integrated entry's LTAP lock (best-effort: a record the
-    // directory does not know yet has no entry to lock).
-    uint64_t lock_session = gateway_->NewSession();
-    std::optional<ldap::Dn> locked;
-    if (!ldap_key.empty()) {
-      const lexpress::Record& image =
-          failure.update.new_record.attrs().empty()
-              ? failure.update.old_record
-              : failure.update.new_record;
-      StatusOr<lexpress::Record> mapped =
-          filter->to_ldap().MapRecord(image);
-      if (mapped.ok()) {
-        std::string key_value = mapped->GetFirst(ldap_key);
-        if (!key_value.empty()) {
-          StatusOr<std::optional<ldap::Entry>> entry =
-              ldap_filter_->FindByAttr(ldap_key, key_value);
-          if (entry.ok() && entry->has_value()) {
-            Status lock_status =
-                AcquireEntryLock((*entry)->dn(), lock_session);
-            if (lock_status.ok()) locked = (*entry)->dn();
-          }
+  Status first_failure = Status::Ok();
+  auto send = [&](size_t begin, size_t end) {
+    std::vector<WorkItem> batch;
+    for (size_t k = begin; k < end; ++k) {
+      StatusOr<std::optional<ldap::Entry>> image = holder(keys[k]);
+      uint64_t session = 0;
+      std::vector<ldap::Dn> locked;
+      if (lock && image.ok() && *image) {
+        // Hold the entity's lock, under a fresh session as any work
+        // item's, from reading its image until the unit settles; a
+        // busy, moved or unreadable key waits for the next pass.
+        session = gateway_->NewSession();
+        locked.push_back((*image)->dn());
+        if (!gateway_->LockEntry(locked[0], session, /*timeout_micros=*/0)
+                 .ok()) {
+          continue;
+        }
+        image = holder(keys[k]);
+        if (!image.ok() || (*image && !((*image)->dn() == locked[0]))) {
+          ReleaseLocks(locked, session);
+          continue;
         }
       }
-    }
-    struct Unlock {
-      UpdateManager* um;
-      std::optional<ldap::Dn>* dn;
-      uint64_t session;
-      ~Unlock() {
-        if (dn->has_value()) um->gateway_->UnlockEntry(**dn, session);
+      // A failed lookup or translation is not "no holder": the key
+      // waits instead of being deleted.
+      if (!image.ok()) continue;
+      StatusOr<std::optional<WorkItem>> upsert = std::optional<WorkItem>();
+      if (*image) upsert = PushUnit(filter, ldap_filter_->ToRecord(**image));
+      if (!upsert.ok()) {
+        ReleaseLocks(locked, session);
+        continue;
       }
-    } unlock{this, &locked, lock_session};
-
-    // Replay conditionally (§5.4): the update may have partially
-    // applied before the outage, or a later sync may have carried it.
-    lexpress::UpdateDescriptor replay = failure.update;
-    replay.conditional = true;
-    ApplyResult result = ApplyToRepository(filter, {replay}).front();
-    if (result.retryable()) {
-      // Repository still down (or its circuit still open): leave this
-      // and every later entry for the next pass — replay order within
-      // the repository must hold.
-      return false;
+      WorkItem& unit =
+          batch.emplace_back(std::move(*upsert).value_or(WorkItem()));
+      if (!unit.push || unit.push->update.new_record.GetFirst(key_attr) !=
+                            keys[k]) {
+        // No entity in the partition holds the key: delete it.
+        unit.descriptor = {.op = lexpress::DescriptorOp::kDelete};
+        unit.push = std::make_unique<PlannedOp>(
+            PlannedOp{filter->name(),
+                      {.op = lexpress::DescriptorOp::kDelete,
+                       .schema = filter->schema(),
+                       .conditional = true}});
+        unit.push->update.old_record.SetOne(key_attr, keys[k]);
+      }
+      unit.locked = std::move(locked);
+      unit.lock_session = session;
+      unit.redrive = true;
     }
-    if (result.outcome() == ApplyOutcome::kPermanent) {
-      METACOMM_LOG(kWarning)
-          << filter->name() << ": replay of error-"
-          << failure.sequence
-          << " permanently rejected, falling back to sync: "
-          << result.status().ToString();
-      return true;
+    ProcessBatch(batch, epoch, /*vm=*/nullptr);
+    for (const WorkItem& unit : batch) {
+      const lexpress::UpdateDescriptor& pushed = unit.push->update;
+      const std::string key = pushed.EffectiveRecord().GetFirst(key_attr);
+      bool done = unit.status.ok();
+      if (done && lock && unit.locked.empty() &&
+          pushed.op == lexpress::DescriptorOp::kDelete) {
+        // A delete found no holder to lock: an entity given the key
+        // since keeps the entries, for its upsert on the next pass.
+        StatusOr<std::optional<ldap::Entry>> now = holder(key);
+        done = now.ok() && !now->has_value();
+      }
+      if (sync != nullptr &&
+          ClassifyStatus(unit.status) == ApplyOutcome::kPermanent) {
+        done = true;  // Synchronize's pull settles it: the device wins.
+        sync->erase(key);
+      }
+      settled[key] = done;
+      if (first_failure.ok()) first_failure = unit.status;
     }
-
-    counters_.replayed.fetch_add(1, std::memory_order_relaxed);
-    BackfillFromReplay(filter, result.record());
-    replayed_dns->push_back(entry_dn);
-    std::string key = replay.new_record.GetFirst(filter->key_attr());
-    if (key.empty()) {
-      key = replay.old_record.GetFirst(filter->key_attr());
-    }
-    if (!key.empty()) last_by_key[key] = std::move(replay);
+    return !batch.empty();
+  };
+  // The oldest sendable key's unit goes alone, as a probe: a device
+  // still failing costs one command per pass. The rest follow as one
+  // batch (one wave, one conversation) once the device answered; a
+  // permanent rejection is an answer, as it is to the breaker.
+  // Synchronize needs no probe: the device has just answered its dump.
+  size_t probe = 0;
+  while (lock && probe < keys.size() && !send(probe, probe + 1)) ++probe;
+  if (!lock || (probe < keys.size() && ClassifyStatus(first_failure) !=
+                                           ApplyOutcome::kRetryable)) {
+    send(lock ? probe + 1 : 0, keys.size());
   }
-  for (const auto& [key, update] : last_by_key) {
-    if (!ReplayConverged(filter, update)) {
-      METACOMM_LOG(kWarning)
-          << filter->name() << ": replayed backlog for key " << key
-          << " did not converge, falling back to sync";
-      return true;
+
+  // An entry retires once the units of all its keys settled.
+  for (const PendingReplay& entry : backlog) {
+    bool retire = true;
+    for (const std::string& key : keys_of(entry)) {
+      retire = retire && (key.empty() || settled[key]);
+    }
+    if (retire && DeleteErrorEntry(entry.second)) {
+      counters_.replayed.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  return false;
+  return first_failure;
 }
 
-void UpdateManager::BackfillFromReplay(
-    RepositoryFilter* filter, const lexpress::Record& device_result) {
-  // Deletes return an empty record; nothing to backfill.
-  if (device_result.attrs().empty()) return;
-  const std::string& ldap_key = filter->to_ldap().key_target_attr();
-  if (ldap_key.empty()) return;
-  StatusOr<lexpress::Record> mapped =
-      filter->to_ldap().MapRecord(device_result);
-  if (!mapped.ok()) return;
-  std::string key_value = mapped->GetFirst(ldap_key);
-  if (key_value.empty()) return;
-  StatusOr<std::optional<ldap::Entry>> found =
-      ldap_filter_->FindByAttr(ldap_key, key_value);
-  if (!found.ok() || !found->has_value()) return;
-
-  // Fill directory gaps only. The logged update predates whatever the
-  // directory holds now, so overwriting present values would regress
-  // the integrated view from a stale image; absent attributes are the
-  // §5.5 device-generated round the outage swallowed.
-  lexpress::Record current = ldap_filter_->ToRecord(**found);
-  lexpress::UpdateDescriptor upsert;
-  upsert.op = lexpress::DescriptorOp::kModify;
-  upsert.schema = "ldap";
-  upsert.source = filter->name();
-  upsert.conditional = true;
-  upsert.old_record = current;
-  upsert.new_record = current;
-  bool changed = false;
-  for (const auto& [attr, value] : mapped->attrs()) {
-    if (current.Has(attr)) continue;
-    upsert.new_record.Set(attr, value);
-    upsert.explicit_attrs.insert(attr);
-    changed = true;
-  }
-  if (!changed) return;
-  upsert.explicit_attrs.erase(kLastUpdaterAttr);
-  ApplyResult applied = ldap_filter_->Apply(upsert);
-  if (!applied.ok()) {
-    METACOMM_LOG(kWarning) << "replay backfill failed: "
-                           << applied.status().ToString();
-  }
+StatusOr<std::optional<UpdateManager::WorkItem>> UpdateManager::PushUnit(
+    RepositoryFilter* filter, lexpress::Record image) {
+  METACOMM_ASSIGN_OR_RETURN(
+      std::optional<lexpress::UpdateDescriptor> upsert,
+      filter->from_ldap().Translate({.op = lexpress::DescriptorOp::kAdd,
+                                     .schema = "ldap",
+                                     .new_record = image,
+                                     .source = "ldap"}));
+  if (!upsert.has_value()) return std::optional<WorkItem>();
+  WorkItem unit;
+  unit.descriptor = {.op = lexpress::DescriptorOp::kAdd,
+                     .schema = "ldap",
+                     .new_record = std::move(image)};
+  unit.push =
+      std::make_unique<PlannedOp>(PlannedOp{filter->name(), std::move(*upsert)});
+  unit.push->update.conditional = true;  // Upsert semantics.
+  return std::optional<WorkItem>(std::move(unit));
 }
 
-bool UpdateManager::ReplayConverged(
-    RepositoryFilter* filter, const lexpress::UpdateDescriptor& update) {
-  const std::string& device_key_attr = filter->key_attr();
-  std::string key = update.new_record.GetFirst(device_key_attr);
-  if (key.empty()) key = update.old_record.GetFirst(device_key_attr);
-  if (key.empty()) return true;  // Keyless update: nothing to check.
-
-  StatusOr<std::optional<lexpress::Record>> device = filter->Fetch(key);
-  if (!device.ok()) return false;
-  if (update.op == lexpress::DescriptorOp::kDelete) {
-    return !device->has_value();
-  }
-  if (!device->has_value()) return false;
-
-  const std::string& ldap_key = filter->to_ldap().key_target_attr();
-  if (ldap_key.empty()) return true;
-  StatusOr<lexpress::Record> mapped =
-      filter->to_ldap().MapRecord(**device);
-  if (!mapped.ok()) return false;
-  StatusOr<std::optional<ldap::Entry>> entry =
-      ldap_filter_->FindByAttr(ldap_key, mapped->GetFirst(ldap_key));
-  if (!entry.ok() || !entry->has_value()) return false;
-
-  // Subset compare: every attribute the directory's image maps into
-  // this repository's schema must match the device byte-for-byte.
-  // Device-only attributes (never mapped to the directory) are out of
-  // scope, and an attribute absent on both sides is converged.
-  StatusOr<lexpress::Record> expectation =
-      filter->from_ldap().MapRecord(ldap_filter_->ToRecord(**entry));
-  if (!expectation.ok()) return false;
-  for (const auto& [attr, value] : expectation->attrs()) {
-    if (!(device->value().Get(attr) == value)) return false;
-  }
-  return true;
+StatusOr<std::optional<ldap::Entry>> UpdateManager::Holder(
+    RepositoryFilter* filter, const lexpress::Record& mapped) {
+  const std::string& attr = filter->to_ldap().key_target_attr();
+  return ldap_filter_->FindByAttr(attr, mapped.GetFirst(attr));
 }
 
-void UpdateManager::DeleteErrorEntry(const ldap::Dn& dn) {
+bool UpdateManager::DeleteErrorEntry(const ldap::Dn& dn) {
   ldap::OpContext ctx;
   ctx.principal = "cn=metacomm";
   ctx.internal = true;
@@ -1305,6 +1293,7 @@ void UpdateManager::DeleteErrorEntry(const ldap::Dn& dn) {
     METACOMM_LOG(kWarning) << "error-log delete failed: "
                            << status.ToString();
   }
+  return status.ok();
 }
 
 Status UpdateManager::Synchronize(const std::string& device_name) {
@@ -1338,9 +1327,17 @@ Status UpdateManager::Synchronize(const std::string& device_name) {
   StatusOr<std::vector<lexpress::Record>> dump = filter->DumpAll();
   if (!dump.ok()) return dump.status();
 
+  // Repair before the pull: the device takes the directory's image of
+  // every key its backlog names, or the device-wins pull would roll
+  // acked writes back. The dump predates the re-drive, so the pull and
+  // push leave those keys alone, but for the ones the device rejected.
+  METACOMM_ASSIGN_OR_RETURN(Backlog pending, PendingReplays());
+  std::set<std::string> redriven;
+  if (auto backlog = pending.find(device_name); backlog != pending.end()) {
+    (void)RedriveBacklog(filter, backlog->second, entry_epoch, &redriven);
+  }
+
   const std::string& device_key_attr = filter->key_attr();
-  const std::string& ldap_key_of_device =
-      filter->to_ldap().key_target_attr();
 
   // Device -> directory (and, through the propagation pipeline, to
   // other devices that share the data being synchronized).
@@ -1350,7 +1347,9 @@ Status UpdateManager::Synchronize(const std::string& device_name) {
     if (stop_epoch() != entry_epoch) {
       return Status::Unavailable("update manager is shut down");
     }
-    device_keys.insert(record.GetFirst(device_key_attr));
+    const std::string& key = record.GetFirst(device_key_attr);
+    device_keys.insert(key);
+    if (redriven.count(key) > 0) continue;
 
     lexpress::UpdateDescriptor as_add;
     as_add.op = lexpress::DescriptorOp::kAdd;
@@ -1362,14 +1361,9 @@ Status UpdateManager::Synchronize(const std::string& device_name) {
     if (!translated.ok() || !translated->has_value()) continue;
     lexpress::Record mapped = (*translated)->new_record;
 
-    // Locate the existing directory entry via the device's key.
+    StatusOr<std::optional<ldap::Entry>> found = Holder(filter, mapped);
     std::optional<ldap::Entry> existing;
-    if (!ldap_key_of_device.empty()) {
-      StatusOr<std::optional<ldap::Entry>> found =
-          ldap_filter_->FindByAttr(ldap_key_of_device,
-                                   mapped.GetFirst(ldap_key_of_device));
-      if (found.ok()) existing = *found;
-    }
+    if (found.ok()) existing = *found;
 
     lexpress::UpdateDescriptor upsert;
     upsert.schema = "ldap";
@@ -1396,32 +1390,23 @@ Status UpdateManager::Synchronize(const std::string& device_name) {
   }
 
   // Directory -> device: entries in this device's partition that the
-  // device lost (disconnected operation, §4.4) are pushed back.
+  // device lost (disconnected operation, §4.4) are pushed back, as one
+  // batch of push units.
   StatusOr<std::vector<lexpress::Record>> directory =
       ldap_filter_->DumpAll();
   if (!directory.ok()) return directory.status();
-  for (const lexpress::Record& ldap_record : *directory) {
-    if (stop_epoch() != entry_epoch) {
-      return Status::Unavailable("update manager is shut down");
+  std::vector<WorkItem> pushes;
+  for (lexpress::Record& image : *directory) {
+    StatusOr<std::optional<WorkItem>> unit = PushUnit(filter, std::move(image));
+    if (!unit.ok() || !unit->has_value()) continue;
+    std::string key = (*unit)->push->update.new_record.GetFirst(device_key_attr);
+    if (!key.empty() && device_keys.count(key) + redriven.count(key) == 0) {
+      pushes.push_back(std::move(**unit));
     }
-    lexpress::UpdateDescriptor as_add;
-    as_add.op = lexpress::DescriptorOp::kAdd;
-    as_add.schema = "ldap";
-    as_add.source = "ldap";
-    as_add.new_record = ldap_record;
-    StatusOr<std::optional<lexpress::UpdateDescriptor>> translated =
-        filter->from_ldap().Translate(as_add);
-    if (!translated.ok() || !translated->has_value()) continue;
-    lexpress::UpdateDescriptor device_add = std::move(**translated);
-    std::string key = device_add.new_record.GetFirst(device_key_attr);
-    if (key.empty() || device_keys.count(key) > 0) continue;
-    device_add.conditional = true;  // Upsert semantics.
-    ApplyResult applied = ApplyToRepository(filter, {device_add}).front();
-    if (!applied.ok()) {
-      HandleFailure(filter->name(), applied.outcome(), applied.status(),
-                    device_add);
-      if (first_error.ok()) first_error = applied.status();
-    }
+  }
+  ProcessBatch(pushes, entry_epoch, /*vm=*/nullptr);
+  for (const WorkItem& unit : pushes) {
+    if (!unit.status.ok() && first_error.ok()) first_error = unit.status;
   }
 
   counters_.syncs.fetch_add(1, std::memory_order_relaxed);

@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <span>
 #include <string>
 #include <thread>
@@ -92,10 +93,10 @@ struct UpdateManagerConfig {
   int64_t breaker_max_backoff_micros = 5'000'000;
   /// Background repair worker (threaded mode): scans the error log
   /// every repair_scan_interval_micros and, once a repository's
-  /// circuit re-closes, replays its logged failed updates in sequence
-  /// order — falling back to a targeted Synchronize(device) when
-  /// replay cannot converge. Non-threaded assemblies drive repair
-  /// explicitly via RunRepairPass().
+  /// circuit re-closes, pushes the directory's image of every key its
+  /// logged failed updates touch — falling back to a targeted
+  /// Synchronize(device) when the device rejects one. Non-threaded
+  /// assemblies drive repair explicitly via RunRepairPass().
   bool repair_enabled = true;
   int64_t repair_scan_interval_micros = 500'000;
 };
@@ -199,24 +200,24 @@ class UpdateManager : public ltap::TriggerActionServer {
   size_t ReplayRecoveredIntents();
 
   /// Synchronizes one device with the directory under quiesce (§4.4,
-  /// §5.1): device records are upserted into the directory, and
+  /// §5.1): once the device answers a full dump, its error-log backlog
+  /// is re-driven, device records are upserted into the directory, and
   /// directory entries in the device's partition but missing from the
-  /// device are pushed to it. Also serves as initial directory
-  /// population.
+  /// device are pushed to it. The backlog's keys are the re-drive's
+  /// alone: one whose push failed keeps its entries for the next repair
+  /// pass. Also serves as initial directory population.
   Status Synchronize(const std::string& device_name) EXCLUDES(sync_mutex_);
 
   /// Synchronizes every registered device.
   Status SynchronizeAll();
 
-  /// One pass of the error-log repair protocol: scans error_base,
-  /// groups replayable entries by repository, and for every repository
-  /// whose circuit admits traffic replays them in errorSeq order
-  /// (conditional semantics, under the entity's LTAP lock).
-  /// Successfully replayed entries are deleted; a replay that cannot
-  /// converge falls back to Synchronize(repository) and clears that
-  /// repository's backlog. The repair worker calls this periodically
-  /// in threaded mode; tests and synchronous assemblies call it
-  /// directly.
+  /// One pass of the error-log repair protocol: scans error_base and
+  /// re-drives each repository's backlog (RedriveBacklog): one push
+  /// unit per device key, under its entity's LTAP lock. An entry is
+  /// deleted once its units applied; a permanent rejection falls back
+  /// to Synchronize(repository), whose device-wins pull settles it.
+  /// The repair worker calls this periodically in threaded mode; tests
+  /// and synchronous assemblies call it directly.
   Status RunRepairPass() EXCLUDES(sync_mutex_);
 
   /// The repository's circuit breaker (nullptr for unknown names).
@@ -268,7 +269,7 @@ class UpdateManager : public ltap::TriggerActionServer {
                                      // each device session and the
                                      // processing delay (n-1 each).
     uint64_t breaker_open_skips = 0;  // Updates fast-failed, circuit open.
-    uint64_t replayed = 0;            // Error-log entries replayed ok.
+    uint64_t replayed = 0;            // Error-log entries retired.
     uint64_t repair_passes = 0;       // RunRepairPass invocations.
     uint64_t repair_syncs = 0;        // Repair fell back to Synchronize.
     /// Histogram of popped batch sizes: {1, 2, 3-4, 5-8, 9-16, >16}.
@@ -320,11 +321,19 @@ class UpdateManager : public ltap::TriggerActionServer {
     /// directory before planning. Synchronize upserts are neither.
     bool ldap_current = false;
     bool hydrate = false;
+    /// A push unit that re-drives error-log entries: its failure logs
+    /// nothing new, the entries stay.
+    bool redrive = false;
     /// Set when a completion needs to be signalled (threaded Path A).
     std::shared_ptr<std::promise<Status>> done;
     /// Durable intent backing this item (0: none). Resolved when the
     /// item settles; left pending when Stop() abandons it unprocessed.
     uint64_t intent_id = 0;
+    /// A push unit's whole plan (PushUnit): its outcome is this op's,
+    /// and it is never a §5.4 reapplication. Held by pointer: inline,
+    /// it nearly doubled every item's size and slowed servebench's
+    /// queued updates (EXPERIMENTS.md E20).
+    std::unique_ptr<PlannedOp> push;
     /// The item's outcome, set when it settles.
     Status status = Status::Ok();
   };
@@ -414,7 +423,11 @@ class UpdateManager : public ltap::TriggerActionServer {
     std::promise<void> done;
   };
 
-  /// Fetches the saga pre-images, holds the conversation, marks it done.
+  /// Fetches the saga pre-images and holds the conversation through
+  /// the repository's circuit breaker, then marks it done: an open
+  /// circuit yields kSkippedOpenCircuit for every update without
+  /// touching the repository; otherwise each result feeds the breaker.
+  /// The one place that sends an update to a device (saga undo aside).
   void Converse(Conversation& conversation);
 
   /// Holds every conversation at once; returns when all are done.
@@ -440,24 +453,16 @@ class UpdateManager : public ltap::TriggerActionServer {
       EXCLUDES(admin_mutex_);
 
   /// Repository-aware failure path: the error entry carries the
-  /// serialized update so the repair worker can replay it once
+  /// serialized update so the repair worker can re-drive it once
   /// `repository`'s circuit re-closes. Outcome kRetryable /
   /// kSkippedOpenCircuit entries are replayable; kPermanent entries
   /// are audit-only (the device rejected the command — replaying it
-  /// verbatim would fail again).
-  void HandleFailure(const std::string& repository, ApplyOutcome outcome,
-                     const Status& error,
-                     const lexpress::UpdateDescriptor& update)
+  /// verbatim would fail again). Returns the error-log write's status:
+  /// a failure nothing will repair unless its unit fails with it.
+  Status HandleFailure(const std::string& repository, ApplyOutcome outcome,
+                       const Status& error,
+                       const lexpress::UpdateDescriptor& update)
       EXCLUDES(admin_mutex_);
-
-  /// Sends updates through the repository's circuit breaker over ONE
-  /// conversation: an open circuit yields kSkippedOpenCircuit for every
-  /// update without touching the repository; otherwise each apply
-  /// result feeds the breaker in order (a permanent rejection is proof
-  /// of life and counts as success). Results are positional.
-  std::vector<ApplyResult> ApplyToRepository(
-      RepositoryFilter* filter,
-      const std::vector<lexpress::UpdateDescriptor>& updates);
 
   /// Sleeps up to `micros`, waking early when Stop() is called.
   /// Returns false when the UM is stopping (the caller should bail).
@@ -485,26 +490,35 @@ class UpdateManager : public ltap::TriggerActionServer {
   /// log for the administrator. Empty without an error container.
   StatusOr<Backlog> PendingReplays() const;
 
-  /// Replays one repository's backlog in sequence order. Returns true
-  /// when replay could not converge and the caller must fall back to
-  /// Synchronize. `replayed_dns` collects the error entries to delete.
-  bool ReplayRepository(RepositoryFilter* filter,
+  /// Re-drives one repository's backlog through the propagation
+  /// pipeline: one push unit per device key the logged updates touch
+  /// (old and new), in first-seen errorSeq order, probe first. An entry
+  /// is deleted once the units of all its keys settled; a key whose
+  /// holder cannot be read waits. For the repair pass (`sync` null) a
+  /// unit holds its entity's LTAP lock and settles when it applied. For
+  /// Synchronize, whose quiesce stands in for the locks, a rejected
+  /// unit settles too (the device-wins pull that follows takes the
+  /// device's record), and every other key goes into `*sync` for the
+  /// pull and push to leave alone. Returns the first unit failure.
+  Status RedriveBacklog(RepositoryFilter* filter,
                         const std::vector<PendingReplay>& backlog,
-                        std::vector<ldap::Dn>* replayed_dns);
+                        uint64_t epoch, std::set<std::string>* sync);
 
-  /// After a successful replay, folds device-minted attributes the
-  /// directory never saw (the §5.5 round the outage swallowed) into
-  /// the entry — fills gaps only, never overwrites directory values.
-  void BackfillFromReplay(RepositoryFilter* filter,
-                          const lexpress::Record& device_result);
+  /// The push unit that drives the directory's `image` of one entity
+  /// to `filter` as a conditional add (an upsert), never a pull;
+  /// nullopt outside the filter's partition.
+  StatusOr<std::optional<WorkItem>> PushUnit(RepositoryFilter* filter,
+                                             lexpress::Record image);
 
-  /// True when the directory's image of the replayed entity matches
-  /// the repository's record (subset compare over mapped attributes).
-  bool ReplayConverged(RepositoryFilter* filter,
-                       const lexpress::UpdateDescriptor& update);
+  /// The directory entry holding a device record, found through the
+  /// record's image in the integrated schema (`mapped`) under the
+  /// filter's key attribute; nullopt when no entry holds it.
+  StatusOr<std::optional<ldap::Entry>> Holder(RepositoryFilter* filter,
+                                              const lexpress::Record& mapped);
 
-  /// Deletes a replayed (or resynchronized) error-log entry.
-  void DeleteErrorEntry(const ldap::Dn& dn);
+  /// Deletes a re-driven (or resynchronized) error-log entry; true when
+  /// this call removed it.
+  bool DeleteErrorEntry(const ldap::Dn& dn);
 
   /// Reverts already-applied device updates, newest first (saga
   /// extension).

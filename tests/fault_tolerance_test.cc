@@ -3,6 +3,7 @@
 #include <chrono>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/clock.h"
@@ -508,6 +509,351 @@ TEST_F(FaultToleranceTest, RepairFallsBackToSynchronizeWhenReplayCant) {
   EXPECT_EQ(mailbox->GetFirst("Pin"), "2222");
   EXPECT_EQ(BacklogFor("mp1"), 0u);
   EXPECT_TRUE(ErrorEntries().empty());
+}
+
+/// Repair pushes the directory's image, never a logged one: a mailbox
+/// add that failed for a person since deleted from the directory is
+/// not re-created, and no fallback resync pulls the person back.
+TEST_F(FaultToleranceTest, RepairNeverResurrectsADeletedPerson) {
+  Build(SystemConfig{});
+  system_->mp("mp1")->faults().FailNext(1, StatusCode::kUnavailable);
+  ASSERT_TRUE(system_
+                  ->AddPerson("John Doe",
+                              {{"telephoneNumber", "+1 908 582 4567"}})
+                  .ok());
+  ASSERT_EQ(BacklogFor("mp1"), 1u);
+  ldap::Client client = system_->NewClient();
+  ASSERT_TRUE(client.Delete("cn=John Doe,ou=People,o=Lucent").ok());
+
+  ASSERT_TRUE(system_->update_manager().RunRepairPass().ok());
+  EXPECT_FALSE(client.Get("cn=John Doe,ou=People,o=Lucent").ok());
+  EXPECT_FALSE(system_->mp("mp1")->GetRecord("4567").ok());
+  EXPECT_EQ(system_->update_manager().stats().repair_syncs, 0u);
+  EXPECT_EQ(BacklogFor("mp1"), 0u);
+}
+
+/// A permanent rejection is the device answering: the other keys are
+/// still pushed in the same pass, and the fallback resync re-drives
+/// what the device rejected before its device-wins pull, so no acked
+/// write is rolled back.
+TEST_F(FaultToleranceTest, PermanentRejectionKeepsOtherKeysAckedWrites) {
+  SystemConfig config;
+  config.um.breaker_enabled = false;
+  Build(config);
+  ldap::Client client = system_->NewClient();
+  for (const char* extension : {"4567", "4568"}) {
+    ASSERT_TRUE(system_
+                    ->AddPerson(std::string("Person ") + extension,
+                                {{"telephoneNumber",
+                                  std::string("+1 908 582 ") + extension}})
+                    .ok());
+    ASSERT_TRUE(client
+                    .Replace(std::string("cn=Person ") + extension +
+                                 ",ou=People,o=Lucent",
+                             "MpPin", "1000")
+                    .ok());
+  }
+  devices::FaultInjector& faults = system_->mp("mp1")->faults();
+  faults.set_disconnected(true);
+  for (const char* extension : {"4567", "4568"}) {
+    ASSERT_TRUE(client
+                    .Replace(std::string("cn=Person ") + extension +
+                                 ",ou=People,o=Lucent",
+                             "MpPin", "2222")
+                    .ok());
+  }
+  faults.set_disconnected(false);
+  // The first two pushes are rejected; the fallback resync's succeed.
+  faults.FailNext(2, StatusCode::kInvalidArgument);
+
+  ASSERT_TRUE(system_->update_manager().RunRepairPass().ok());
+  EXPECT_EQ(system_->update_manager().stats().repair_syncs, 1u);
+  for (const char* extension : {"4567", "4568"}) {
+    SCOPED_TRACE(extension);
+    auto entry = client.Get(std::string("cn=Person ") + extension +
+                            ",ou=People,o=Lucent");
+    ASSERT_TRUE(entry.ok()) << entry.status();
+    EXPECT_EQ(entry->GetFirst("MpPin"), "2222");
+    auto mailbox = system_->mp("mp1")->GetRecord(extension);
+    ASSERT_TRUE(mailbox.ok()) << mailbox.status();
+    EXPECT_EQ(mailbox->GetFirst("Pin"), "2222");
+  }
+  EXPECT_EQ(BacklogFor("mp1"), 0u);
+}
+
+/// A key's backlog costs one command, however many updates it logged:
+/// the repair pass sends the directory's image once.
+TEST_F(FaultToleranceTest, RepairSendsOneCommandPerEntity) {
+  SystemConfig config;
+  config.um.breaker_enabled = false;  // No probe backoff to wait out.
+  Build(config);
+  ASSERT_TRUE(system_
+                  ->AddPerson("John Doe",
+                              {{"telephoneNumber", "+1 908 582 4567"}})
+                  .ok());
+  devices::FaultInjector& faults = system_->mp("mp1")->faults();
+  faults.set_disconnected(true);
+  ldap::Client client = system_->NewClient();
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(client
+                    .Replace("cn=John Doe,ou=People,o=Lucent", "MpPin",
+                             "300" + std::to_string(i))
+                    .ok());
+  }
+  ASSERT_EQ(BacklogFor("mp1"), 8u);
+  faults.set_disconnected(false);
+
+  const uint64_t before = faults.mutations_seen();
+  ASSERT_TRUE(system_->update_manager().RunRepairPass().ok());
+  EXPECT_EQ(faults.mutations_seen() - before, 1u);
+  EXPECT_EQ(system_->update_manager().stats().replayed, 8u);
+  EXPECT_EQ(BacklogFor("mp1"), 0u);
+  auto mailbox = system_->mp("mp1")->GetRecord("4567");
+  ASSERT_TRUE(mailbox.ok()) << mailbox.status();
+  EXPECT_EQ(mailbox->GetFirst("Pin"), "3007");
+}
+
+/// A device that fails every mutation costs one command per pass: the
+/// probe fails, nothing else is sent, and the log neither grows (the
+/// failed push is not re-logged) nor shrinks.
+TEST_F(FaultToleranceTest, RepairProbesAFailingDeviceOnce) {
+  SystemConfig config;
+  config.um.breaker_enabled = false;  // The probe alone bounds the cost.
+  Build(config);
+  for (const char* extension : {"4567", "4568"}) {
+    ASSERT_TRUE(system_
+                    ->AddPerson(std::string("Person ") + extension,
+                                {{"telephoneNumber",
+                                  std::string("+1 908 582 ") + extension}})
+                    .ok());
+  }
+  devices::FaultInjector& faults = system_->mp("mp1")->faults();
+  faults.set_disconnected(true);
+  ldap::Client client = system_->NewClient();
+  for (const char* extension : {"4567", "4568"}) {
+    ASSERT_TRUE(client
+                    .Replace(std::string("cn=Person ") + extension +
+                                 ",ou=People,o=Lucent",
+                             "MpPin", "1111")
+                    .ok());
+  }
+  faults.set_disconnected(false);
+  faults.set_error_probability(1.0);
+
+  const size_t logged = ErrorEntries().size();
+  ASSERT_EQ(logged, 2u);
+  const uint64_t before = faults.mutations_seen();
+  ASSERT_TRUE(system_->update_manager().RunRepairPass().ok());
+  EXPECT_LE(faults.mutations_seen() - before, 1u);
+  EXPECT_EQ(ErrorEntries().size(), logged);
+  EXPECT_EQ(system_->update_manager().stats().replayed, 0u);
+}
+
+/// A repair push is not a §5.4 reapplication: the A1 ablation, which
+/// drops reapplications, still drains the backlog, and the counter
+/// does not move.
+TEST_F(FaultToleranceTest, RepairDrainsWithoutReapplication) {
+  SystemConfig config;
+  config.um.reapply_to_originator = false;
+  config.um.breaker_enabled = false;
+  Build(config);
+  ASSERT_TRUE(system_
+                  ->AddPerson("John Doe",
+                              {{"telephoneNumber", "+1 908 582 4567"}})
+                  .ok());
+  system_->mp("mp1")->faults().set_disconnected(true);
+  ldap::Client client = system_->NewClient();
+  for (const char* pin : {"1111", "2222", "3333"}) {
+    ASSERT_TRUE(
+        client.Replace("cn=John Doe,ou=People,o=Lucent", "MpPin", pin)
+            .ok());
+  }
+  system_->mp("mp1")->faults().set_disconnected(false);
+
+  const uint64_t reapplications =
+      system_->update_manager().stats().reapplications;
+  ASSERT_TRUE(system_->update_manager().RunRepairPass().ok());
+  EXPECT_EQ(BacklogFor("mp1"), 0u);
+  EXPECT_EQ(system_->update_manager().stats().reapplications,
+            reapplications);
+  auto mailbox = system_->mp("mp1")->GetRecord("4567");
+  ASSERT_TRUE(mailbox.ok()) << mailbox.status();
+  EXPECT_EQ(mailbox->GetFirst("Pin"), "3333");
+}
+
+/// An update the error log cannot hold is not acked: with the error
+/// container gone, a client write whose device apply fails gets the
+/// log write's failure, not OK with nothing left to repair it.
+TEST_F(FaultToleranceTest, UnloggableDeviceFailureFailsTheWrite) {
+  Build(SystemConfig{});
+  ASSERT_TRUE(system_
+                  ->AddPerson("John Doe",
+                              {{"telephoneNumber", "+1 908 582 4567"}})
+                  .ok());
+  ldap::Client client = system_->NewClient();
+  ASSERT_TRUE(client.Delete("cn=errors,o=Lucent").ok());
+  system_->mp("mp1")->faults().set_disconnected(true);
+
+  Status status =
+      client.Replace("cn=John Doe,ou=People,o=Lucent", "MpPin", "2222");
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(system_->update_manager().stats().errors, 1u);
+  EXPECT_EQ(BacklogFor("mp1"), 0u);
+}
+
+/// A holder lookup that fails is not "no holder": the key's unit waits
+/// instead of deleting a record the directory may still hold, and its
+/// entries stay until a pass can read the directory again.
+TEST_F(FaultToleranceTest, RepairWaitsWhileTheHolderCannotBeRead) {
+  SystemConfig config;
+  config.um.breaker_enabled = false;
+  Build(config);
+  ASSERT_TRUE(system_
+                  ->AddPerson("John Doe",
+                              {{"telephoneNumber", "+1 908 582 4567"}})
+                  .ok());
+  devices::FaultInjector& faults = system_->mp("mp1")->faults();
+  faults.set_disconnected(true);
+  ldap::Client client = system_->NewClient();
+  ASSERT_TRUE(client.Delete("cn=John Doe,ou=People,o=Lucent").ok());
+  faults.set_disconnected(false);
+  ASSERT_EQ(BacklogFor("mp1"), 1u);
+
+  // Without the people container every holder search fails.
+  auto people = ldap::Dn::Parse("ou=People,o=Lucent");
+  ASSERT_TRUE(people.ok()) << people.status();
+  ldap::Entry container(*people);
+  container.AddObjectClass("top");
+  container.AddObjectClass("organizationalUnit");
+  container.SetOne("ou", "People");
+  auto& backend = system_->server().backend();
+  ASSERT_TRUE(backend.Delete(*people).ok());
+  ASSERT_TRUE(system_->update_manager().RunRepairPass().ok());
+  EXPECT_TRUE(system_->mp("mp1")->GetRecord("4567").ok());
+  EXPECT_EQ(BacklogFor("mp1"), 1u);
+  EXPECT_EQ(system_->update_manager().stats().replayed, 0u);
+
+  ASSERT_TRUE(backend.Add(container).ok());
+  ASSERT_TRUE(system_->update_manager().RunRepairPass().ok());
+  EXPECT_FALSE(system_->mp("mp1")->GetRecord("4567").ok());
+  EXPECT_EQ(BacklogFor("mp1"), 0u);
+}
+
+/// A delete unit has no holder to lock. When an ADD gives a person the
+/// key while the delete is in flight, the delete takes the new mailbox
+/// but not the key's entries, and the next pass pushes the mailbox back.
+TEST_F(FaultToleranceTest, RepairDeleteRacingAnAddKeepsTheEntries) {
+  SystemConfig config;
+  config.um.threaded = true;
+  config.um.repair_enabled = false;  // The test drives the passes.
+  config.um.breaker_enabled = false;
+  Build(config);
+  devices::MessagingPlatform* mp = system_->mp("mp1");
+  mp->faults().FailNext(1, StatusCode::kUnavailable);
+  ASSERT_TRUE(system_
+                  ->AddPerson("John Doe",
+                              {{"telephoneNumber", "+1 908 582 4567"}})
+                  .ok());
+  ldap::Client client = system_->NewClient();
+  ASSERT_TRUE(client.Delete("cn=John Doe,ou=People,o=Lucent").ok());
+  ASSERT_EQ(BacklogFor("mp1"), 1u);
+
+  // The pass finds no holder of 4567 and sends its delete over a slow
+  // link; the ADD of a new 4567 lands at the platform first.
+  mp->latency().set_rtt_micros(300'000);
+  const uint64_t round_trips = mp->latency().round_trips();
+  std::thread repair(
+      [&] { EXPECT_TRUE(system_->update_manager().RunRepairPass().ok()); });
+  for (int i = 0; i < 20'000 && mp->latency().round_trips() == round_trips;
+       ++i) {
+    RealClock::Get()->SleepMicros(500);
+  }
+  mp->latency().set_rtt_micros(0);
+  Status added = system_->AddPerson(
+      "Jane Roe", {{"telephoneNumber", "+1 908 582 4567"}});
+  const bool mailbox_added = mp->GetRecord("4567").ok();
+  repair.join();
+  ASSERT_TRUE(added.ok()) << added;
+  EXPECT_TRUE(mailbox_added);
+  EXPECT_FALSE(mp->GetRecord("4567").ok());  // The delete took it.
+  EXPECT_EQ(BacklogFor("mp1"), 1u);
+
+  ASSERT_TRUE(system_->update_manager().RunRepairPass().ok());
+  EXPECT_EQ(BacklogFor("mp1"), 0u);
+  auto mailbox = mp->GetRecord("4567");
+  ASSERT_TRUE(mailbox.ok()) << mailbox.status();
+  auto jane = client.Get("cn=Jane Roe,ou=People,o=Lucent");
+  ASSERT_TRUE(jane.ok()) << jane.status();
+  EXPECT_EQ(jane->GetFirst("MpSubscriberId"),
+            mailbox->GetFirst("SubscriberId"));
+}
+
+/// The repair worker re-drives a backlog while two clients keep
+/// writing the same people: each push holds its entity's lock, so the
+/// writes and the pushes serialize, and everything ends in agreement.
+TEST_F(FaultToleranceTest, RepairWorkerDrainsWhileClientsWrite) {
+  SystemConfig config;
+  config.um.threaded = true;
+  config.um.worker_threads = 2;
+  config.um.repair_enabled = true;
+  config.um.repair_scan_interval_micros = 2'000;
+  config.um.breaker_failure_threshold = 2;
+  config.um.breaker_open_backoff_micros = 1'000;
+  config.um.breaker_max_backoff_micros = 10'000;
+  Build(config);
+  const std::vector<std::string> extensions = {"4567", "4568", "4569"};
+  for (const std::string& extension : extensions) {
+    ASSERT_TRUE(system_
+                    ->AddPerson("Person " + extension,
+                                {{"telephoneNumber", "+1 908 582 " + extension}})
+                    .ok());
+  }
+  auto dn_of = [](const std::string& extension) {
+    return "cn=Person " + extension + ",ou=People,o=Lucent";
+  };
+  devices::FaultInjector& faults = system_->mp("mp1")->faults();
+  faults.set_disconnected(true);
+  auto write = [&](int writer, int rounds) {
+    ldap::Client client = system_->NewClient();
+    for (int i = 0; i < rounds; ++i) {
+      const std::string& extension = extensions[i % extensions.size()];
+      std::string value = std::to_string(writer * 1000 + i);
+      EXPECT_TRUE(client.Replace(dn_of(extension), "MpPin", value).ok());
+      EXPECT_TRUE(
+          client.Replace(dn_of(extension), "roomNumber", "R" + value).ok());
+    }
+  };
+  write(1, 6);  // The backlog, logged while the platform is down.
+  ASSERT_GE(BacklogFor("mp1"), 6u);
+  faults.set_disconnected(false);
+  std::thread first(write, 2, 40);
+  std::thread second(write, 3, 40);
+  first.join();
+  second.join();
+
+  auto converged = [&] {
+    if (BacklogFor("mp1") != 0) return false;
+    ldap::Client client = system_->NewClient();
+    for (const std::string& extension : extensions) {
+      auto entry = client.Get(dn_of(extension));
+      auto mailbox = system_->mp("mp1")->GetRecord(extension);
+      auto station = system_->pbx("pbx1")->GetRecord(extension);
+      if (!entry.ok() || !mailbox.ok() || !station.ok() ||
+          mailbox->GetFirst("Pin") != entry->GetFirst("MpPin") ||
+          mailbox->GetFirst("SubscriberId") !=
+              entry->GetFirst("MpSubscriberId") ||
+          station->GetFirst("Room") != entry->GetFirst("roomNumber")) {
+        return false;
+      }
+    }
+    return true;
+  };
+  bool agreed = false;
+  for (int i = 0; i < 2'000 && !(agreed = converged()); ++i) {
+    RealClock::Get()->SleepMicros(5'000);
+  }
+  EXPECT_TRUE(agreed);
+  EXPECT_EQ(BacklogFor("mp1"), 0u);
 }
 
 TEST_F(FaultToleranceTest, ScriptedOutageDegradesThenRecovers) {

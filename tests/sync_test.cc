@@ -88,6 +88,106 @@ TEST_F(SyncTest, ResyncPushesDirectoryEntriesToWipedDevice) {
   EXPECT_EQ(station->GetFirst("Name"), "John Doe");
 }
 
+/// A pushed-back mailbox is minted a new SubscriberId, and the push
+/// runs the §5.5 round like any propagation: one resync brings the
+/// directory's MpSubscriberId to the platform's.
+TEST_F(SyncTest, ResyncOfWipedPlatformBringsItsMintedIdBack) {
+  ASSERT_TRUE(system_
+                  ->AddPerson("John Doe",
+                              {{"telephoneNumber", "+1 908 582 4567"}})
+                  .ok());
+  devices::MessagingPlatform* mp = system_->mp("mp1");
+  mp->faults().set_drop_notifications(true);
+  ASSERT_TRUE(mp->ExecuteCommand("DELETE MAILBOX 4567").ok());
+  mp->faults().set_drop_notifications(false);
+
+  ASSERT_TRUE(system_->update_manager().Synchronize("mp1").ok());
+  auto mailbox = mp->GetRecord("4567");
+  ASSERT_TRUE(mailbox.ok()) << mailbox.status();
+  ldap::Client client = system_->NewClient();
+  auto entry = client.Get("cn=John Doe,ou=People,o=Lucent");
+  ASSERT_TRUE(entry.ok()) << entry.status();
+  EXPECT_EQ(entry->GetFirst("MpSubscriberId"),
+            mailbox->GetFirst("SubscriberId"));
+}
+
+/// Synchronize re-drives the device's backlog before its device-wins
+/// pull: an acked write the device missed while disconnected reaches
+/// the device instead of being rolled back in the directory.
+TEST_F(SyncTest, ResyncKeepsAnAckedWriteTheDeviceMissed) {
+  ASSERT_TRUE(system_
+                  ->AddPerson("John Doe",
+                              {{"telephoneNumber", "+1 908 582 4567"}})
+                  .ok());
+  const std::string dn = "cn=John Doe,ou=People,o=Lucent";
+  ldap::Client client = system_->NewClient();
+  ASSERT_TRUE(client.Replace(dn, "MpPin", "1111").ok());
+  devices::MessagingPlatform* mp = system_->mp("mp1");
+  mp->faults().set_disconnected(true);
+  ASSERT_TRUE(client.Replace(dn, "MpPin", "2222").ok());
+  mp->faults().set_disconnected(false);
+
+  ASSERT_TRUE(system_->update_manager().Synchronize("mp1").ok());
+  auto entry = client.Get(dn);
+  ASSERT_TRUE(entry.ok()) << entry.status();
+  EXPECT_EQ(entry->GetFirst("MpPin"), "2222");
+  auto mailbox = mp->GetRecord("4567");
+  ASSERT_TRUE(mailbox.ok()) << mailbox.status();
+  EXPECT_EQ(mailbox->GetFirst("Pin"), "2222");
+}
+
+/// One backlog key that keeps failing does not hold the resync up: the
+/// other keys are pushed and device-side changes still pulled, while
+/// the failing key keeps its entry and its acked directory value.
+TEST_F(SyncTest, ResyncGoesOnPastAFailingBacklogKey) {
+  auto dn_of = [](const std::string& extension) {
+    return "cn=Person " + extension + ",ou=People,o=Lucent";
+  };
+  auto backlog = [&] {
+    for (const auto& repo : system_->update_manager().stats().repositories) {
+      if (repo.name == "mp1") return repo.replay_backlog;
+    }
+    return uint64_t{0};
+  };
+  for (const std::string extension : {"4567", "4568", "4569"}) {
+    ASSERT_TRUE(system_
+                    ->AddPerson("Person " + extension,
+                                {{"telephoneNumber", "+1 908 582 " + extension}})
+                    .ok());
+  }
+  ldap::Client client = system_->NewClient();
+  devices::MessagingPlatform* mp = system_->mp("mp1");
+  mp->faults().set_disconnected(true);
+  for (const std::string extension : {"4567", "4568"}) {
+    ASSERT_TRUE(client.Replace(dn_of(extension), "MpPin", "2222").ok());
+  }
+  mp->faults().set_disconnected(false);
+  mp->faults().set_drop_notifications(true);
+  ASSERT_TRUE(mp->ExecuteCommand("MODIFY MAILBOX 4569 Pin=9999").ok());
+  mp->faults().set_drop_notifications(false);
+  mp->faults().FailNext(1, StatusCode::kUnavailable);  // 4567's push.
+
+  const uint64_t syncs = system_->update_manager().stats().syncs;
+  ASSERT_TRUE(system_->update_manager().Synchronize("mp1").ok());
+  EXPECT_EQ(system_->update_manager().stats().syncs, syncs + 1);
+  auto pulled = client.Get(dn_of("4569"));
+  ASSERT_TRUE(pulled.ok()) << pulled.status();
+  EXPECT_EQ(pulled->GetFirst("MpPin"), "9999");
+  auto pushed = mp->GetRecord("4568");
+  ASSERT_TRUE(pushed.ok()) << pushed.status();
+  EXPECT_EQ(pushed->GetFirst("Pin"), "2222");
+  auto held = client.Get(dn_of("4567"));
+  ASSERT_TRUE(held.ok()) << held.status();
+  EXPECT_EQ(held->GetFirst("MpPin"), "2222");
+  EXPECT_EQ(backlog(), 1u);
+
+  ASSERT_TRUE(system_->update_manager().RunRepairPass().ok());
+  auto repaired = mp->GetRecord("4567");
+  ASSERT_TRUE(repaired.ok()) << repaired.status();
+  EXPECT_EQ(repaired->GetFirst("Pin"), "2222");
+  EXPECT_EQ(backlog(), 0u);
+}
+
 TEST_F(SyncTest, SynchronizeAllCoversEveryDevice) {
   devices::DefinityPbx* pbx = system_->pbx("pbx1");
   pbx->faults().set_drop_notifications(true);
