@@ -134,7 +134,8 @@ class JsonCapture : public benchmark::ConsoleReporter {
 
 }  // namespace
 
-int RunBenchMain(const std::string& name, int argc, char** argv) {
+int RunBenchMain(const std::string& name, int argc, char** argv,
+                 const std::string& data_dir) {
   bool json = false;
   std::vector<char*> args;
   std::string config;
@@ -175,8 +176,9 @@ int RunBenchMain(const std::string& name, int argc, char** argv) {
 #endif
   out << "  \"nproc\": " << std::thread::hardware_concurrency() << ",\n";
   out << "  \"commit\": \"" << JsonEscape(SourceCommit()) << "\",\n";
-  // The report's own directory: where the bench runs and writes.
-  out << "  \"storage\": \"" << JsonEscape(StorageMedium(".")) << "\",\n";
+  // Where the bench writes its files, not where the report goes.
+  out << "  \"storage\": \"" << JsonEscape(StorageMedium(data_dir))
+      << "\",\n";
   out << "  \"runs\": [";
   bool first = true;
   for (const JsonCapture::Sample& sample : reporter.samples()) {

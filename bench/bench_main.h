@@ -11,9 +11,11 @@ namespace metacomm::bench {
 /// per-run time and ops/sec (with every user counter), the invocation
 /// arguments, and what built and ran it (CMake build type, whether
 /// lockdep was compiled in, the hardware thread count, the source
-/// commit, and the storage medium of the working directory).
+/// commit, and the storage medium of `data_dir`, where the bench keeps
+/// its files: the working directory unless the bench names its own).
 /// tools/bench_report.sh drives this across all benches.
-int RunBenchMain(const std::string& name, int argc, char** argv);
+int RunBenchMain(const std::string& name, int argc, char** argv,
+                 const std::string& data_dir = ".");
 
 }  // namespace metacomm::bench
 

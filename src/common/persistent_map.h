@@ -19,9 +19,11 @@ namespace metacomm {
 ///
 /// Implementation: a path-copying treap whose heap priorities are
 /// derived from a hash of the key. That makes the tree shape a pure
-/// function of the key SET — independent of insertion order — which
-/// keeps the expected depth logarithmic without storing any balance
-/// bookkeeping, and makes structurally equal snapshots byte-identical.
+/// function of the key SET — independent of insertion order — and
+/// makes structurally equal snapshots byte-identical. The expected
+/// depth is about 2 ln n (15 at n = 2000) only if the priorities act
+/// as independent of the key order, so the hash must scatter keys that
+/// differ only in their last characters (see Priority).
 ///
 /// Thread safety: a PersistentMap value itself is a single shared_ptr;
 /// distinct map values may be read concurrently without
@@ -102,14 +104,19 @@ class PersistentMap {
     return node == nullptr ? 0 : node->count;
   }
 
-  /// FNV-1a; deterministic so equal key sets build equal trees.
+  /// FNV-1a, then splitmix64's finalizer; deterministic so equal key
+  /// sets build equal trees. Raw FNV-1a's high bits barely depend on a
+  /// key's last characters, so numbered keys (`20001`, `cn=error-7`)
+  /// got nearly sorted priorities and treaps 46-112 deep on average.
   static uint64_t Priority(std::string_view key) {
     uint64_t h = 1469598103934665603ull;
     for (char c : key) {
       h ^= static_cast<unsigned char>(c);
       h *= 1099511628211ull;
     }
-    return h;
+    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
+    h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
+    return h ^ (h >> 31);
   }
 
   static NodePtr WithChildren(const NodePtr& node, NodePtr left,

@@ -5,7 +5,8 @@
 # under build-release/, and both leave the committed baselines alone.
 # Run from anywhere:
 #
-#   tools/bench_report.sh              # full run (default min time)
+#   tools/bench_report.sh              # full run (default min time,
+#                                      # three repetitions per point)
 #   tools/bench_report.sh --smoke      # 1 quick pass per bench (CI)
 #   tools/bench_report.sh bench_batching bench_parallel_um
 #   tools/bench_report.sh --compare    # diff fresh runs vs committed
@@ -23,7 +24,9 @@
 # reruns the bench into build-release/ three times per point
 # (--benchmark_repetitions=3), and compares each point's median real_ms
 # with the baseline's, by benchmark name: one run per point is inside
-# a shared host's run-to-run spread. With no bench names it compares
+# a shared host's run-to-run spread. A full run takes three repetitions
+# too, so a baseline holds three runs per point and the median compared
+# with is a median of three. With no bench names it compares
 # every bench that has a committed baseline. Points more than 20%
 # slower than baseline are flagged and the script exits non-zero. A
 # baseline whose build_type differs from the fresh run's gets one
@@ -43,8 +46,7 @@ benches=()
 for arg in "$@"; do
   case "$arg" in
     --smoke)   min_time="--benchmark_min_time=0.01" ;;
-    --compare) compare=1
-               repetitions="--benchmark_repetitions=3" ;;
+    --compare) compare=1 ;;
     *)         benches+=("$arg") ;;
   esac
 done
@@ -58,6 +60,7 @@ elif [ -n "$min_time" ]; then
 fi
 if [ "$compare" -eq 1 ] || [ -z "$min_time" ]; then
   bindir=build-release/bench
+  repetitions="--benchmark_repetitions=3"
   if [ "${#benches[@]}" -eq 0 ]; then
     if [ "$compare" -eq 1 ]; then
       for report in $(git ls-tree --name-only HEAD); do
